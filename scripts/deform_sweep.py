@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gaborflow.frame import REPORT_COLUMNS, GaborSystem, compare_reports, ellipsoid_deform
+from gaborflow.frame import REPORT_COLUMNS, GaborSystem, compare_reports, ellipsoid_sweep
 from gaborflow.lattice import Box, Ellipsoid, separable_lattice
 from gaborflow.quantum import GridSpec, gaussian_window
 from gaborflow.symplectic import QuadraticHamiltonian
@@ -37,16 +37,15 @@ def main():
     sys0 = GaborSystem(phi, separable_lattice(alpha, alpha, box, 1), g)
     H = QuadraticHamiltonian(np.eye(2))
 
+    ells = [Ellipsoid(H, E) for E in args.energies]
+    ts = [float(t) for t in np.linspace(0.0, math.pi / 2.0, args.steps)]
     reports = []
-    for E in args.energies:
-        ell = Ellipsoid(H, E)
-        for t in np.linspace(0.0, math.pi / 2.0, args.steps):
-            _, rep = ellipsoid_deform(sys0, ell, float(t))
-            reports.append(rep)
-            print(
-                f"E={E:8.3f} t={t:6.4f} moved={rep.moved_count:4d} "
-                f"rel_dA={rep.rel_dA:.3e} rel_dB={rep.rel_dB:.3e}"
-            )
+    for _, rep in ellipsoid_sweep(sys0, ells, ts):
+        reports.append(rep)
+        print(
+            f"E={rep.E:8.3f} t={rep.t:6.4f} moved={rep.moved_count:4d} "
+            f"rel_dA={rep.rel_dA:.3e} rel_dB={rep.rel_dB:.3e}"
+        )
 
     summary = compare_reports(reports)
     lines = [",".join(REPORT_COLUMNS)]

@@ -3,11 +3,14 @@
 Subcommands: bounds, deform, flow, epsilon, count, covariance.  Outputs are
 deterministic: identical configs produce byte-identical files once the
 timestamp header is suppressed with --no-timestamp.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+2 configuration error, 3 numerical or IO failure; any other exception is a
+bug and propagates with its traceback.
 
 Thread control (--threads or the GABOR_THREADS environment variable) is
 applied to the BLAS pools before any numerical module is imported, which is
-why the heavy imports live inside the command functions.
+why the heavy imports live inside the command functions.  It takes effect
+only at process start: when numpy is already loaded, as for an in-process
+``main`` call, the pools keep their size and a warning goes to stderr.
 """
 
 from __future__ import annotations
@@ -78,17 +81,14 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    from .frame import REPORT_COLUMNS, GaborSystem, ellipsoid_deform
+    from .frame import REPORT_COLUMNS, GaborSystem, ellipsoid_sweep
 
     cfg = _load_config(args)
     g = cfg.build_grid()
     sys_ = GaborSystem(cfg.build_window(g), cfg.build_lattice(), g)
-    rows = []
-    for E in cfg.energy_sweep():
-        ell = cfg.build_ellipsoid(E)
-        for t in cfg.t_values():
-            _, report = ellipsoid_deform(sys_, ell, t, cfg.tolerances.boundary_tol)
-            rows.append(report.csv_row())
+    ells = [cfg.build_ellipsoid(E) for E in cfg.energy_sweep()]
+    sweep = ellipsoid_sweep(sys_, ells, cfg.t_values(), cfg.tolerances.boundary_tol)
+    rows = [report.csv_row() for _, report in sweep]
     _write_csv(_outdir(args) / "deform.csv", REPORT_COLUMNS, rows, not args.no_timestamp)
     print(f"wrote {len(rows)} deformation rows")
     return EXIT_OK
@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="suppress the timestamp header line (reproducible output)")
         p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread count (env GABOR_THREADS as fallback)")
+                       help="BLAS thread count, applied only at process start "
+                            "(env GABOR_THREADS as fallback)")
         p.add_argument("--override", action="append", metavar="SECTION.KEY=JSON",
                        help="override a config value, e.g. grid.N=512")
         p.set_defaults(fn=fn)
@@ -211,20 +212,29 @@ def _configure_threads(requested: int | None) -> None:
             raise SystemExit("thread count must be >= 1")
         for var in _THREAD_VARS:
             os.environ[var] = str(threads)
+        if "numpy" in sys.modules:
+            # BLAS sizes its thread pool once, when numpy loads
+            print(f"warning: thread count {threads} not applied: numpy is already loaded "
+                  "in this process; set it at process start", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _configure_threads(args.threads)
 
+    from numpy.linalg import LinAlgError
+
     from .config import ConfigError
+    from .flow import FlowStepError
+    from .lattice import ProjectionError
 
     try:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # numerical / IO failures
+    except (LinAlgError, ProjectionError, FlowStepError, ValueError, OSError) as exc:
+        # numerical and IO failures; anything else is a bug and keeps its traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

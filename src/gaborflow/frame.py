@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,11 @@ from .lattice import (
     Ellipsoid,
     PointSet,
     classify_points,
-    deform_point_set,
     max_safe_epsilon,
+    move_points,
 )
 from .metaplectic import metaplectic_lift
-from .quantum import GridSpec, State, heisenberg, inner, norm
+from .quantum import GridSpec, State, heisenberg, heisenberg_rows, inner, norm
 from .symplectic import QuadraticHamiltonian, coords_of, flow_matrix
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "full_phase_space_points",
     "covariant_deform",
     "ellipsoid_deform",
+    "ellipsoid_sweep",
     "compare_reports",
     "REPORT_COLUMNS",
 ]
@@ -111,15 +113,10 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
     frame bounds of the dx-weighted inequality; rows have unit Euclidean norm
     because the translations are unitary.
     """
-    m = len(sys.points)
-    if m == 0:
+    if len(sys.points) == 0:
         raise ValueError("analysis matrix of an empty point set")
-    g = sys.grid
-    D = np.empty((m, g.N), dtype=complex)
-    root_dx = np.sqrt(g.dx)
-    for j, row in enumerate(sys.points.points):
-        D[j] = np.conj(heisenberg(row, sys.window, g).values) * root_dx
-    return D
+    T = heisenberg_rows(sys.points.points, sys.window, sys.grid)
+    return np.conj(T) * np.sqrt(sys.grid.dx)
 
 
 def analysis_coefficients(sys: GaborSystem, psi: State) -> np.ndarray:
@@ -137,13 +134,23 @@ def frame_operator(sys: GaborSystem) -> np.ndarray:
 
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
-    """Extremal eigenvalues of the frame operator via a dense Hermitian solve.
+    """Extremal frame-operator eigenvalues via a dense Hermitian solve on the
+    smaller side.
 
-    Intended for N <= 2048; certified extremal eigenvalues at desk scale are
-    preferred over iterative solvers that would need convergence tuning.
+    With m >= N points the N x N frame operator S = D* D is solved.  With
+    m < N the m x m Gram matrix D D* is solved instead: it shares the nonzero
+    spectrum of S, so B is its largest eigenvalue, and A = 0 exactly because
+    S has rank at most m < N.  Intended for min(m, N) <= 2048; certified
+    extremal eigenvalues at desk scale are preferred over iterative solvers
+    that would need convergence tuning.
     """
-    evals = np.linalg.eigvalsh(frame_operator(sys))
-    return FrameBounds.from_extremes(evals[0], evals[-1])
+    if len(sys.points) >= sys.grid.N:
+        evals = np.linalg.eigvalsh(frame_operator(sys))
+        return FrameBounds.from_extremes(evals[0], evals[-1])
+    D = analysis_matrix(sys)
+    G = D @ D.conj().T
+    evals = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
+    return FrameBounds.from_extremes(0.0, evals[-1])
 
 
 def full_phase_space_points(g: GridSpec) -> PointSet:
@@ -245,29 +252,46 @@ def covariant_deform(sys: GaborSystem, H: QuadraticHamiltonian, t: float, z0) ->
     return GaborSystem(window=w, points=new_pts, grid=sys.grid)
 
 
+def ellipsoid_sweep(
+    sys: GaborSystem,
+    ells,
+    ts,
+    boundary_tol: float = BOUNDARY_TOL_DEFAULT,
+) -> Iterator[tuple[GaborSystem, DeformationReport]]:
+    """Deform the window by the lift and only the enclosed points by the flow,
+    for every ellipsoid in ``ells`` and every time in ``ts``.
+
+    Yields ``(deformed system, report)`` for each (E, t), ellipsoid-major.
+    The window becomes U_t window (base point 0); the points enclosed by the
+    ellipsoid move along the exact flow while the rest stay fixed.  The safe
+    thickening radius of the surface is recorded in the report to certify
+    that a cutoff flow realizing this piecewise motion exists for the set.
+    Frame bounds of both systems and their relative drifts make up the
+    report.  The undeformed bounds are computed once per sweep, and eps* and
+    the enclosed set once per ellipsoid.
+    """
+    bounds0 = frame_bounds(sys)
+    for ell in ells:
+        eps = max_safe_epsilon(sys.points, ell, boundary_tol)
+        inside = classify_points(sys.points, ell, boundary_tol).inside
+        for t in ts:
+            U = metaplectic_lift(ell.H.M, t, sys.grid)
+            new_sys = GaborSystem(window=U.apply(sys.window),
+                                  points=move_points(sys.points, inside, ell, t),
+                                  grid=sys.grid)
+            report = _make_report(bounds0, frame_bounds(new_sys), len(inside), eps, t, ell.E)
+            yield new_sys, report
+
+
 def ellipsoid_deform(
     sys: GaborSystem,
     ell: Ellipsoid,
     t: float,
     boundary_tol: float = BOUNDARY_TOL_DEFAULT,
 ) -> tuple[GaborSystem, DeformationReport]:
-    """Deform the window by the lift and only the enclosed points by the flow.
-
-    The window becomes U_t window (base point 0); the points enclosed by the
-    ellipsoid move along the exact flow while the rest stay fixed.  The safe
-    thickening radius of the surface is recorded in the report to certify
-    that a cutoff flow realizing this piecewise motion exists for the set.
-    Frame bounds of both systems and their relative drifts make up the
-    report.
-    """
-    eps = max_safe_epsilon(sys.points, ell, boundary_tol)
-    bounds0 = frame_bounds(sys)
-    moved = len(classify_points(sys.points, ell, boundary_tol).inside)
-    new_pts = deform_point_set(sys.points, ell, t, boundary_tol)
-    U = metaplectic_lift(ell.H.M, t, sys.grid)
-    new_sys = GaborSystem(window=U.apply(sys.window), points=new_pts, grid=sys.grid)
-    bounds1 = frame_bounds(new_sys)
-    return new_sys, _make_report(bounds0, bounds1, moved, eps, t, ell.E)
+    """One (E, t) step of ``ellipsoid_sweep``: the deformed system and its
+    report."""
+    return next(ellipsoid_sweep(sys, [ell], [t], boundary_tol))
 
 
 @dataclass(frozen=True)

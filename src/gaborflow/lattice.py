@@ -32,6 +32,7 @@ __all__ = [
     "distance_to_ellipsoid",
     "max_safe_epsilon",
     "deform_point_set",
+    "move_points",
     "count_in_ellipsoid",
 ]
 
@@ -449,8 +450,22 @@ def deform_point_set(
         raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
     if len(P) == 0:
         return P
-    classes = classify_points(P, ell, boundary_tol)
-    moved = classes.inside
+    return move_points(P, classify_points(P, ell, boundary_tol).inside, ell, t, collision_tol)
+
+
+def move_points(
+    P: PointSet,
+    moved: np.ndarray,
+    ell: Ellipsoid,
+    t: float,
+    collision_tol: float = COLLISION_TOL_DEFAULT,
+) -> PointSet:
+    """Move the points at indices ``moved`` by S_t = exp(t J M) of the
+    ellipsoid Hamiltonian; the rest keep bitwise-equal coordinates.
+
+    This is ``deform_point_set`` for an enclosed set classified beforehand,
+    so that a time sweep classifies once.  Collisions are flagged as there.
+    """
     if moved.size == 0:
         return P
     S = flow_matrix(ell.H, t).S

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,19 +96,20 @@ class QuantizedHamiltonian:
 
 
 # Eigendecompositions are expensive (dense N x N); cache per (M, grid) under a
-# single-writer lock so concurrent readers never observe a partial entry.
-_eig_cache: dict = {}
+# single-writer lock so concurrent readers never observe a partial entry.  The
+# cache is an LRU within a byte budget, room for four N = 2048 factors (about
+# 256 MiB), so that sweeps over many M cannot grow it without limit.
+EIG_CACHE_BYTES = 4 * (16 * 2048**2 + 8 * 2048)
+_eig_cache: OrderedDict = OrderedDict()
 _eig_lock = threading.Lock()
 
 
 def _eig_factors(M: np.ndarray, g: GridSpec):
     key = (M.astype(float).tobytes(), g)
-    got = _eig_cache.get(key)
-    if got is not None:
-        return got
     with _eig_lock:
         got = _eig_cache.get(key)
         if got is not None:
+            _eig_cache.move_to_end(key)
             return got
         qh = quantize_quadratic(M, g)
         evals, evecs = np.linalg.eigh(qh.matrix)
@@ -117,7 +119,11 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
                 f"eigenbasis not unitary within {UNITARITY_TOL}: defect {defect:.3e}"
             )
         _eig_cache[key] = (evals, evecs)
-        return _eig_cache[key]
+        held = sum(w.nbytes + V.nbytes for w, V in _eig_cache.values())
+        while held > EIG_CACHE_BYTES and len(_eig_cache) > 1:
+            w, V = _eig_cache.popitem(last=False)[1]
+            held -= w.nbytes + V.nbytes
+        return evals, evecs
 
 
 class Propagator:

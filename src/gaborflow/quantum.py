@@ -29,6 +29,7 @@ __all__ = [
     "inner",
     "norm",
     "heisenberg",
+    "heisenberg_rows",
     "gaussian_window",
     "save_state",
     "load_state",
@@ -116,12 +117,6 @@ def norm(a: State, g: GridSpec) -> float:
     return math.sqrt(abs(inner(a, a, g).real))
 
 
-def _fractional_shift(values: np.ndarray, q: float, g: GridSpec) -> np.ndarray:
-    """Circular shift psi(x) -> psi(x - q) via the band-limited interpolant."""
-    freqs = np.fft.fftfreq(g.N, d=g.dx)
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-2j * math.pi * freqs * q))
-
-
 def heisenberg(z, psi: State, g: GridSpec) -> State:
     """Apply the phase-space translation T(z) for z = (q, p), n = 1.
 
@@ -134,18 +129,35 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
     zc = coords_of(z)
     if zc.size != 2:
         raise ValueError(f"heisenberg requires a 2-D phase point (n=1), got {zc.size} coords")
-    if not np.all(np.isfinite(zc)):
+    return State(heisenberg_rows(zc.reshape(1, 2), psi, g)[0])
+
+
+def heisenberg_rows(points, psi: State, g: GridSpec) -> np.ndarray:
+    """Samples of T(z_j) psi for every row z_j = (q_j, p_j) of an (m, 2) array.
+
+    Returns an (m, N) array built from one FFT of psi, one (m, N) shift-ramp
+    product, one inverse FFT along the rows and one modulation product; row j
+    equals ``heisenberg(z_j, psi, g).values`` bitwise.  One wrap-around
+    warning is emitted when some |q_j| >= L/2.
+    """
+    z = np.asarray(points, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2:
+        raise ValueError(f"heisenberg requires 2-D phase points (n=1), got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
         raise ValueError("phase point must be finite")
     _check_grid(psi, g)
-    q, p = float(zc[0]), float(zc[1])
-    if abs(q) > (g.L / 2.0) * (1.0 + 1e-12):
+    q, p = z[:, :1], z[:, 1:]
+    qmax = float(np.max(np.abs(q), initial=0.0))
+    if qmax > (g.L / 2.0) * (1.0 + 1e-12):
         warnings.warn(
-            f"translation |q|={abs(q):g} > L/2={g.L / 2.0:g}: wrap-around regime",
-            stacklevel=2,
+            f"translation |q|={qmax:g} > L/2={g.L / 2.0:g}: wrap-around regime",
+            stacklevel=3,
         )
-    shifted = _fractional_shift(psi.values, q, g)
+    # circular shift psi(x) -> psi(x - q) via the band-limited interpolant
+    freqs = np.fft.fftfreq(g.N, d=g.dx)
+    shifted = np.fft.ifft(np.fft.fft(psi.values) * np.exp(-2j * math.pi * freqs * q), axis=1)
     phase = np.exp(1j * (p * g.xs() - 0.5 * p * q) / g.hbar)
-    return State(phase * shifted)
+    return phase * shifted
 
 
 def gaussian_window(Gamma: complex, g: GridSpec) -> State:

@@ -240,6 +240,16 @@ class TestCliCommands:
                         "--no-timestamp", "--override", "flow.t=1e-13"])
         assert code == 3
 
+    def test_bug_propagates_with_traceback(self, small_config, tmp_path, monkeypatch):
+        from gaborflow import cli
+
+        def broken(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(cli._COMMANDS, "count", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            run_cli(["count", "--config", str(small_config), "--out", str(tmp_path)])
+
     def test_in_process_reruns_byte_identical(self, small_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -274,6 +284,19 @@ class TestThreadControl:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         _configure_threads(None)
         assert os.environ["OMP_NUM_THREADS"] == "3"
+
+    def test_in_process_flag_says_it_is_not_applied(self, small_config, tmp_path, capsys,
+                                                    monkeypatch):
+        # numpy is loaded in this process, so the BLAS pools keep their size
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "2")  # restored after the test
+        out = tmp_path / "out"
+        assert run_cli(["count", "--config", str(small_config), "--out", str(out),
+                        "--no-timestamp", "--threads", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "not applied" in captured.err and "process start" in captured.err
+        assert captured.out == "E=0.5 count=5\n"
+        assert (out / "count.csv").read_text() == "E,count\n0.5,5\n"
 
     def test_bad_env_rejected(self, monkeypatch):
         from gaborflow.cli import _configure_threads

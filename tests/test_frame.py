@@ -12,13 +12,23 @@ from gaborflow.frame import (
     compare_reports,
     covariant_deform,
     ellipsoid_deform,
+    ellipsoid_sweep,
     frame_bounds,
     frame_operator,
     full_phase_space_points,
 )
-from gaborflow.lattice import Box, Ellipsoid, PointSet, count_in_ellipsoid, separable_lattice
+from gaborflow.lattice import (
+    Box,
+    Ellipsoid,
+    PointSet,
+    classify_points,
+    count_in_ellipsoid,
+    deform_point_set,
+    max_safe_epsilon,
+    separable_lattice,
+)
 from gaborflow.metaplectic import metaplectic_lift
-from gaborflow.quantum import GridSpec, State, gaussian_window, norm
+from gaborflow.quantum import GridSpec, State, gaussian_window, heisenberg, norm
 from gaborflow.symplectic import QuadraticHamiltonian
 
 ALPHA = 2.0 ** -0.5
@@ -29,6 +39,12 @@ def reference_system(grid=REF_GRID, box=((-6, 6), (-6, 6))):
     phi = gaussian_window(1j, grid)
     P = separable_lattice(ALPHA, ALPHA, Box.from_pairs(box), 1)
     return GaborSystem(phi, P, grid)
+
+
+def rowwise_analysis_matrix(sys):
+    """The analysis matrix one heisenberg call per row: the batched reference."""
+    return np.stack([np.conj(heisenberg(z, sys.window, sys.grid).values) * np.sqrt(sys.grid.dx)
+                     for z in sys.points.points])
 
 
 class TestGaborSystem:
@@ -75,6 +91,21 @@ class TestAnalysis:
         empty = PointSet(np.empty((0, 2)), 1.0)
         with pytest.raises(ValueError, match="empty"):
             analysis_matrix(GaborSystem(phi, empty, g))
+
+    def test_batched_rows_match_heisenberg_bitwise(self):
+        sysR = reference_system()
+        assert np.array_equal(analysis_matrix(sysR), rowwise_analysis_matrix(sysR))
+
+    def test_batched_rows_past_half_box_warn_and_match(self):
+        g = GridSpec.centered(N=64, L=4.0)
+        P = PointSet(np.array([[0.0, 0.0], [1.5, -2.0], [3.0, 1.0], [-2.5, 0.5]]), 1.0)
+        with pytest.warns(UserWarning, match="wrap"):
+            sysW = GaborSystem(gaussian_window(1j, g), P, g)
+        with pytest.warns(UserWarning, match="wrap-around"):
+            D = analysis_matrix(sysW)
+        with pytest.warns(UserWarning, match="wrap-around"):
+            ref = rowwise_analysis_matrix(sysW)
+        assert np.array_equal(D, ref)
 
     def test_frame_sum_identity(self):
         # sum over the lattice of |(psi | T(z) phi)|^2 via the matrix equals
@@ -144,6 +175,22 @@ class TestFrameBounds:
                 assert fb.A >= prev.A - 1e-10
                 assert fb.B >= prev.B - 1e-10
             prev = fb
+
+    def test_gram_side_matches_frame_operator(self):
+        # m = 81 < N = 128: B from the Gram matrix, A = 0 by counting
+        sysG = reference_system(box=((-3, 3), (-3, 3)))
+        assert len(sysG.points) < REF_GRID.N
+        fb = frame_bounds(sysG)
+        evals = np.linalg.eigvalsh(frame_operator(sysG))
+        assert fb.A == 0.0
+        assert not fb.is_frame
+        assert abs(fb.B - evals[-1]) <= 1e-14 * fb.B
+
+    def test_frame_operator_side_unchanged(self):
+        # m = 289 >= N = 128: the N x N solve, bitwise
+        sysR = reference_system()
+        evals = np.linalg.eigvalsh(frame_operator(sysR))
+        assert frame_bounds(sysR) == FrameBounds.from_extremes(evals[0], evals[-1])
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
@@ -222,6 +269,36 @@ class TestEllipsoidDeform:
         payload = json.loads(rep.to_json())
         assert payload["moved"] == rep.moved_count
         assert payload["eps"] == rep.epsilon_used
+
+
+def per_call_row(sys, ell, t):
+    """One deformation report row with nothing hoisted: the sweep's reference."""
+    U = metaplectic_lift(ell.H.M, t, sys.grid)
+    new_sys = GaborSystem(U.apply(sys.window), deform_point_set(sys.points, ell, t), sys.grid)
+    b0, b1 = frame_bounds(sys), frame_bounds(new_sys)
+    scale = max(b0.B, b1.B)
+    return (t, ell.E, max_safe_epsilon(sys.points, ell),
+            len(classify_points(sys.points, ell).inside), b0.A, b0.B, b1.A, b1.B,
+            abs(b1.A - b0.A) / max(b0.A, 1e-9 * scale, 1e-300),
+            abs(b1.B - b0.B) / max(b0.B, 1e-9 * scale, 1e-300))
+
+
+class TestEllipsoidSweep:
+    def test_rows_equal_per_call_reports_bitwise(self):
+        sysR = reference_system()
+        H = QuadraticHamiltonian(np.diag([1.0, 2.0]))
+        ells = [Ellipsoid(H, E) for E in (0.5, 2.0)]
+        ts = [0.0, 0.4, 1.1]
+        swept = list(ellipsoid_sweep(sysR, ells, ts))
+        assert len(swept) == len(ells) * len(ts)
+        for k, (out, rep) in enumerate(swept):
+            ell, t = ells[k // len(ts)], ts[k % len(ts)]
+            out1, rep1 = ellipsoid_deform(sysR, ell, t)
+            assert rep.csv_row() == rep1.csv_row() == per_call_row(sysR, ell, t)
+            assert np.array_equal(out.window.values, out1.window.values)
+            assert np.array_equal(out.points.points, out1.points.points)
+            if t == 0.0:
+                assert rep.rel_dA == rep.rel_dB == 0.0
 
 
 class TestCompareReports:

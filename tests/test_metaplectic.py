@@ -110,6 +110,39 @@ class TestMetaplecticLift:
         for r in results[1:]:
             assert np.array_equal(r, results[0])
 
+    def test_cache_evicts_least_recently_used_within_budget(self, monkeypatch):
+        from collections import OrderedDict
+
+        from gaborflow import metaplectic
+
+        g = GridSpec.centered(N=32, L=8.0)
+        factor = 16 * g.N**2 + 8 * g.N
+        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
+        monkeypatch.setattr(metaplectic, "EIG_CACHE_BYTES", 2 * factor)
+        computed = []
+
+        def counting(M, grid):
+            computed.append(float(M[0, 0]))
+            return quantize_quadratic(M, grid)
+
+        monkeypatch.setattr(metaplectic, "quantize_quadratic", counting)
+        Ms = [np.diag([a, 1.0]) for a in (1.0, 2.0, 3.0)]
+        first = metaplectic_lift(Ms[0], 0.3, g).apply(gaussian_window(1j, g)).values
+        metaplectic_lift(Ms[1], 0.3, g)
+        # a hit is not recomputed and makes M0 the most recently used
+        again = metaplectic_lift(Ms[0], 0.3, g).apply(gaussian_window(1j, g)).values
+        assert computed == [1.0, 2.0]
+        assert np.array_equal(first, again)
+        # the third factor exceeds the budget: M1, least recently used, goes
+        metaplectic_lift(Ms[2], 0.3, g)
+        assert computed == [1.0, 2.0, 3.0]
+        assert len(metaplectic._eig_cache) == 2
+        metaplectic_lift(Ms[0], 0.3, g)
+        metaplectic_lift(Ms[2], 0.3, g)
+        assert computed == [1.0, 2.0, 3.0]
+        metaplectic_lift(Ms[1], 0.3, g)
+        assert computed == [1.0, 2.0, 3.0, 2.0]
+
     def test_continuity_constant_reported(self):
         grid = np.linspace(0.0, 1.0, 21)
         C = lift_continuity_constant(np.eye(2), grid, SMALL)
