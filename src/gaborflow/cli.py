@@ -95,9 +95,7 @@ def cmd_deform(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    import datetime as _dt
-
-    from .flow import BumpSpec, TruncatedHamiltonian, flow_trajectory, write_trajectory_csv
+    from .flow import BumpSpec, TruncatedHamiltonian, flow_trajectory
 
     cfg = _load_config(args)
     ell = cfg.build_ellipsoid()
@@ -105,9 +103,12 @@ def cmd_flow(args) -> int:
     times, pts, hvals = flow_trajectory(
         [float(v) for v in cfg.flow.z0], th, float(cfg.flow.t), float(cfg.flow.dt_max)
     )
-    stamp = None if args.no_timestamp else f"# generated {_dt.datetime.now().isoformat()}"
+    n = pts.shape[1] // 2
+    header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
+              + ["H_eps"])
+    rows = [(t, *z, h) for t, z, h in zip(times, pts, hvals)]
     out = _outdir(args) / "flow.csv"
-    write_trajectory_csv(out, times, pts, hvals, stamp)
+    _write_csv(out, header, rows, not args.no_timestamp)
     print(f"wrote {times.size} trajectory rows to {out}")
     return EXIT_OK
 
@@ -128,14 +129,15 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from .lattice import count_in_ellipsoid
+    from .lattice import classify_points
 
     cfg = _load_config(args)
     P = cfg.build_lattice()
     rows = []
     for E in cfg.energy_sweep():
-        ell = cfg.build_ellipsoid(E)
-        rows.append((E, count_in_ellipsoid(P, ell)))
+        # the enclosed set, surface included: the points that deform moves
+        inside = classify_points(P, cfg.build_ellipsoid(E), cfg.tolerances.boundary_tol).inside
+        rows.append((E, len(inside)))
     _write_csv(_outdir(args) / "count.csv", ("E", "count"), rows, not args.no_timestamp)
     for E, c in rows:
         print(f"E={_fmt(E)} count={c}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Ellipsoid, PointSet, distance_to_ellipsoid
+from .lattice import Ellipsoid, PointSet, classify_points, distance_to_ellipsoid
 from .symplectic import PhasePoint, coords_of, flow_matrix, standard_J
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "hamiltonian_field",
     "integrate_flow",
     "flow_trajectory",
-    "write_trajectory_csv",
     "verify_truncated_flow",
     "FlowCheckReport",
 ]
@@ -294,27 +293,6 @@ def flow_trajectory(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3
     return np.asarray(times), np.asarray(pts), np.asarray(hvals)
 
 
-def write_trajectory_csv(path, times, pts, hvals, timestamp_line: str | None = None):
-    """Dump a trajectory as CSV with header t,x1,...,xn,p1,...,pn,H_eps."""
-    n = pts.shape[1] // 2
-    header = (
-        "t,"
-        + ",".join(f"x{i+1}" for i in range(n))
-        + ","
-        + ",".join(f"p{i+1}" for i in range(n))
-        + ",H_eps"
-    )
-    lines = []
-    if timestamp_line is not None:
-        lines.append(timestamp_line)
-    lines.append(header)
-    for t, z, h in zip(times, pts, hvals):
-        cells = [format(t, ".17g")] + [format(v, ".17g") for v in z] + [format(h, ".17g")]
-        lines.append(",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class FlowCheckReport:
     """Measured deviation of the integrated truncated flow from its predicted
@@ -342,26 +320,25 @@ def verify_truncated_flow(
     """
     ell = th.ell
     eps = th.bump.eps
-    if len(P):
-        vals = ell.H.values(P.points)
-        off = np.abs(vals - ell.E) > 1e-9 * ell.E
-        offenders = []
-        for i in np.nonzero(off)[0]:
-            d, _ = distance_to_ellipsoid(P.points[i], ell)
-            if d < eps:
-                offenders.append(P.points[i].tolist())
-        if offenders:
-            raise ValueError(
-                f"eps={eps:g} exceeds the safe thickening radius: points inside "
-                f"the shell: {offenders}"
-            )
+    classes = classify_points(P, ell, 1e-9)
+    offenders = []
+    for i in np.union1d(classes.interior, classes.exterior):
+        d, _ = distance_to_ellipsoid(P.points[i], ell)
+        if d < eps:
+            offenders.append(P.points[i].tolist())
+    if offenders:
+        raise ValueError(
+            f"eps={eps:g} exceeds the safe thickening radius: points inside "
+            f"the shell: {offenders}"
+        )
+    enclosed = np.isin(np.arange(len(P)), classes.inside)
     S = flow_matrix(ell.H, t).S
     devs = np.zeros(len(P))
     moved = fixed = 0
     max_moved = max_fixed = 0.0
     for i, row in enumerate(P.points):
         out = integrate_flow(row, th, t, dt_max).coords
-        if ell.H.value(row) <= ell.E * (1.0 + 1e-9):
+        if enclosed[i]:
             ref = S @ row
             devs[i] = float(np.max(np.abs(out - ref)))
             max_moved = max(max_moved, devs[i])

@@ -12,7 +12,6 @@ not asserted.
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ __all__ = [
     "GaborSystem",
     "FrameBounds",
     "DeformationReport",
-    "SweepSummary",
     "analysis_matrix",
     "analysis_coefficients",
     "frame_operator",
@@ -44,7 +42,6 @@ __all__ = [
     "covariant_deform",
     "ellipsoid_deform",
     "ellipsoid_sweep",
-    "compare_reports",
     "REPORT_COLUMNS",
 ]
 
@@ -193,22 +190,6 @@ class DeformationReport:
             self.rel_dB,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t": self.t,
-                "E": self.E,
-                "eps": self.epsilon_used,
-                "moved": self.moved_count,
-                "A": self.bounds_before.A,
-                "B": self.bounds_before.B,
-                "A_prime": self.bounds_after.A,
-                "B_prime": self.bounds_after.B,
-                "rel_dA": self.rel_dA,
-                "rel_dB": self.rel_dB,
-            }
-        )
-
 
 def _rel_drift(before: float, after: float, scale: float) -> float:
     # the floor keeps drifts of numerically-zero lower bounds meaningful
@@ -293,30 +274,3 @@ def ellipsoid_deform(
     report."""
     return next(ellipsoid_sweep(sys, [ell], [t], boundary_tol))
 
-
-@dataclass(frozen=True)
-class SweepSummary:
-    """CSV-ready aggregation of deformation reports."""
-
-    rows: list
-    max_rel_dA: float
-    max_rel_dB: float
-    mean_rel_dA: float
-    mean_rel_dB: float
-
-
-def compare_reports(reports) -> SweepSummary:
-    """Aggregate a sweep of deformation reports into CSV-ready rows."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("compare_reports needs at least one report")
-    rows = [r.csv_row() for r in reports]
-    das = np.array([r.rel_dA for r in reports])
-    dbs = np.array([r.rel_dB for r in reports])
-    return SweepSummary(
-        rows=rows,
-        max_rel_dA=float(np.max(das)),
-        max_rel_dB=float(np.max(dbs)),
-        mean_rel_dA=float(np.mean(das)),
-        mean_rel_dB=float(np.mean(dbs)),
-    )

@@ -33,7 +33,6 @@ __all__ = [
     "max_safe_epsilon",
     "deform_point_set",
     "move_points",
-    "count_in_ellipsoid",
 ]
 
 BOUNDARY_TOL_DEFAULT = 1e-9
@@ -485,9 +484,3 @@ def move_points(
     delta_new = min(P.delta, dmin) if dmin > 0.0 else P.delta
     return PointSet._trusted(new_pts, delta_new, collision_warning=collided)
 
-
-def count_in_ellipsoid(P: PointSet, ell: Ellipsoid) -> int:
-    """Number of points with H(z) <= E (exact enumeration)."""
-    if len(P) == 0:
-        return 0
-    return int(np.count_nonzero(ell.H.values(P.points) <= ell.E))

@@ -10,6 +10,7 @@ import math
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from gaborflow.frame import (
 from gaborflow.lattice import (
     Box,
     Ellipsoid,
-    count_in_ellipsoid,
     max_safe_epsilon,
     separable_lattice,
 )
@@ -54,6 +54,15 @@ def deform_system(N):
     phi = gaussian_window(1j, g)
     P = separable_lattice(ALPHA, ALPHA, Box.from_pairs(DEFORM_BOX), 1)
     return GaborSystem(phi, P, g)
+
+
+def exact_enclosed_count(E):
+    """Points of the deformation lattice with H <= E for M = I, in integer
+    arithmetic: z = alpha (a, b) with alpha^2 = 1/2 turns H(z) <= E into
+    a^2 + b^2 <= 4E, and |a| alpha <= 6 into a^2 <= 72."""
+    ks = range(-math.isqrt(72), math.isqrt(72) + 1)
+    four_e = 4 * Fraction(repr(E))
+    return sum(1 for a in ks for b in ks if a * a + b * b <= four_e)
 
 
 def sampled_surface_distances(points, ell, samples=400_000):
@@ -263,7 +272,7 @@ def test_criterion_8_mixed_deformation_sweep():
     energies = (1.3, 4.3, DEFORM_E_ALL)
     ells = [Ellipsoid(H, E) for E in energies]
     rows = [rep for _, rep in ellipsoid_sweep(sys512, ells, [float(t) for t in ts])]
-    expect = {ell.E: count_in_ellipsoid(sys512.points, ell) for ell in ells}
+    expect = {E: exact_enclosed_count(E) for E in energies}
     counts_ok = all(rep.moved_count == expect[rep.E] for rep in rows)
     # drifts are the empirical deliverable here: reported, not asserted
     for E in energies:

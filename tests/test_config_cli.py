@@ -1,10 +1,12 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gaborflow.cli import main
+from gaborflow.cli import _THREAD_VARS, main
 from gaborflow.config import ConfigError, ScenarioConfig
 
 SMALL_CONFIG = {
@@ -112,6 +114,20 @@ class TestCliCommands:
         assert code == 0
         rows = (out / "count.csv").read_text().splitlines()[1:]
         assert [int(r.split(",")[1]) for r in rows] == [5, 9, 13]
+
+    def test_count_equals_deform_moved_on_default_scenario(self, tmp_path):
+        # alpha = 2^-1/2: H <= E reads a^2 + b^2 <= 4E, so 9 points at E = 0.5
+        # and 13 at E = 1.0, surface points included
+        out = tmp_path / "out"
+        energies = ["--override", "ellipsoid.E=[0.5,1.0]"]
+        assert run_cli(["count", "--out", str(out), "--no-timestamp", *energies]) == 0
+        assert run_cli(["deform", "--out", str(out), "--no-timestamp", *energies,
+                        "--override", "deformation.t_values=[0.0]"]) == 0
+        counts = [int(r.split(",")[1])
+                  for r in (out / "count.csv").read_text().splitlines()[1:]]
+        moved = [int(r.split(",")[3])
+                 for r in (out / "deform.csv").read_text().splitlines()[1:]]
+        assert counts == moved == [9, 13]
 
     def test_epsilon_prints_value(self, small_config, tmp_path, capsys):
         code = run_cli(["epsilon", "--config", str(small_config), "--out", str(tmp_path),
@@ -263,25 +279,39 @@ class TestCliCommands:
         assert (out / "count.csv").read_text().startswith("# generated ")
 
 
-class TestThreadControl:
-    def test_flag_sets_blas_pools(self, monkeypatch):
-        import os
+@pytest.fixture
+def unset_thread_vars(monkeypatch):
+    """Unset the BLAS thread variables for one test; restore them after it.
 
+    ``monkeypatch.delenv`` records nothing for a variable that is not set, so
+    each is set first: undoing then restores the value from before the test,
+    or removes the variable.  The environment must come back unchanged, apart
+    from pytest's own record of the current test.
+    """
+    def environ():
+        return {k: v for k, v in os.environ.items() if k != "PYTEST_CURRENT_TEST"}
+
+    before = environ()
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+        monkeypatch.delenv(var)
+    yield
+    monkeypatch.undo()
+    assert environ() == before
+
+
+class TestThreadControl:
+    def test_flag_sets_blas_pools(self, unset_thread_vars):
         from gaborflow.cli import _configure_threads
 
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
         _configure_threads(2)
         assert os.environ["OMP_NUM_THREADS"] == "2"
         assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
-    def test_env_fallback(self, monkeypatch):
-        import os
-
+    def test_env_fallback(self, unset_thread_vars, monkeypatch):
         from gaborflow.cli import _configure_threads
 
         monkeypatch.setenv("GABOR_THREADS", "3")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         _configure_threads(None)
         assert os.environ["OMP_NUM_THREADS"] == "3"
 
@@ -304,3 +334,29 @@ class TestThreadControl:
         monkeypatch.setenv("GABOR_THREADS", "lots")
         with pytest.raises(SystemExit):
             _configure_threads(None)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# each committed scenario, the command it is written for, and overrides that
+# shrink it to a smoke run; a scenario missing here fails with a KeyError
+SCENARIO_RUNS = {
+    "deform_sweep.json": ("deform", ["grid.N=64"]),
+    "covariance_convergence.json": ("covariance", ["covariance.grids=[32,64]"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+def test_scenario_runs_through_cli(name, tmp_path):
+    command, overrides = SCENARIO_RUNS[name]
+    path = SCENARIOS / name
+    cfg = ScenarioConfig.from_json_file(path)
+    overrides = overrides + [f"covariance.cases={json.dumps(cfg.covariance.cases[:2])}"]
+    args = [command, "--config", str(path), "--out", str(tmp_path), "--no-timestamp"]
+    for item in overrides:
+        args += ["--override", item]
+    assert run_cli(args) == 0
+    rows = (tmp_path / f"{command}.csv").read_text().splitlines()[1:]
+    if command == "deform":
+        assert len(rows) == len(cfg.energy_sweep()) * len(cfg.t_values())
+    else:
+        assert len(rows) == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaborflow.cli import main
 from gaborflow.flow import (
     BumpSpec,
     FlowStepError,
@@ -16,7 +17,6 @@ from gaborflow.flow import (
     integrate_flow,
     truncated_hamiltonian_value,
     verify_truncated_flow,
-    write_trajectory_csv,
 )
 from gaborflow.lattice import Ellipsoid
 from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix
@@ -189,11 +189,16 @@ class TestTrajectory:
         times, pts, hvals = flow_trajectory([3.0, 3.0], circle_truncated, 0.05, 1e-2)
         assert np.all(pts == pts[0])
         assert np.all(hvals == 0.0)
-        out = tmp_path / "traj.csv"
-        write_trajectory_csv(out, times, pts, hvals)
-        lines = out.read_text().splitlines()
+        # the CLI's flow.csv on the same run: the unit circle with eps = 0.3 is
+        # the built-in scenario
+        out = tmp_path / "out"
+        assert main(["flow", "--out", str(out), "--no-timestamp",
+                     "--override", "flow.z0=[3.0,3.0]", "--override", "flow.t=0.05",
+                     "--override", "flow.dt_max=0.01"]) == 0
+        lines = (out / "flow.csv").read_text().splitlines()
         assert lines[0] == "t,x1,p1,H_eps"
-        assert len(lines) == times.size + 1
+        assert lines[1:] == [",".join(format(v, ".17g") for v in (t, *z, h))
+                             for t, z, h in zip(times, pts, hvals)]
 
     def test_records_every_step(self, circle_truncated):
         times, pts, hvals = flow_trajectory([0.5, 0.0], circle_truncated, 0.02, 1e-3)

@@ -1,5 +1,5 @@
-import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from gaborflow.frame import (
     GaborSystem,
     analysis_coefficients,
     analysis_matrix,
-    compare_reports,
     covariant_deform,
     ellipsoid_deform,
     ellipsoid_sweep,
@@ -22,7 +21,6 @@ from gaborflow.lattice import (
     Ellipsoid,
     PointSet,
     classify_points,
-    count_in_ellipsoid,
     deform_point_set,
     max_safe_epsilon,
     separable_lattice,
@@ -266,9 +264,8 @@ class TestEllipsoidDeform:
         _, rep = ellipsoid_deform(sysR, ell, 0.3)
         row = rep.csv_row()
         assert len(row) == 10
-        payload = json.loads(rep.to_json())
-        assert payload["moved"] == rep.moved_count
-        assert payload["eps"] == rep.epsilon_used
+        assert row[2] == rep.epsilon_used
+        assert row[3] == rep.moved_count
 
 
 def per_call_row(sys, ell, t):
@@ -302,29 +299,15 @@ class TestEllipsoidSweep:
 
 
 class TestCompareReports:
-    def test_zero_sweep(self):
-        sysR = reference_system()
-        ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.5)
-        _, rep = ellipsoid_deform(sysR, ell, 0.0)
-        summary = compare_reports([rep])
-        assert summary.max_rel_dA == 0.0
-        assert summary.max_rel_dB == 0.0
-        assert len(summary.rows) == 1
-
-    def test_row_count_matches_sweep(self):
-        sysR = reference_system()
-        ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.5)
-        reps = [ellipsoid_deform(sysR, ell, t)[1] for t in (0.0, 0.2, 0.4)]
-        assert len(compare_reports(reps).rows) == 3
-
     def test_moved_count_jumps_with_count_oracle(self):
+        # z = alpha (a, b) with alpha^2 = 1/2 on [-6, 6]^2: |a| <= 8, and
+        # H(z) <= E reads a^2 + b^2 <= 4E in integer arithmetic
         sysR = reference_system()
         H = QuadraticHamiltonian(np.eye(2))
         energies = [0.2, 0.3, 0.45, 0.55, 0.8, 1.1]
         reps = [ellipsoid_deform(sysR, Ellipsoid(H, E), 0.1)[1] for E in energies]
-        for E, rep in zip(energies, reps):
-            assert rep.moved_count == count_in_ellipsoid(sysR.points, Ellipsoid(H, E))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compare_reports([])
+        ks = range(-8, 9)
+        exact = [sum(1 for a in ks for b in ks if a * a + b * b <= 4 * Fraction(repr(E)))
+                 for E in energies]
+        assert exact == [1, 5, 5, 9, 9, 13]
+        assert [rep.moved_count for rep in reps] == exact

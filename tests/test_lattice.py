@@ -11,7 +11,6 @@ from gaborflow.lattice import (
     Ellipsoid,
     PointSet,
     classify_points,
-    count_in_ellipsoid,
     deform_point_set,
     distance_to_ellipsoid,
     max_safe_epsilon,
@@ -385,11 +384,14 @@ class TestDeformPointSet:
 
 
 class TestCountInEllipsoid:
+    """The count of the enclosed set, surface included, that ``gaborflow count``
+    prints: the inside of ``classify_points``."""
+
     def test_counts(self, z2_lattice):
         H = QuadraticHamiltonian(np.eye(2))
-        assert count_in_ellipsoid(z2_lattice, Ellipsoid(H, 0.5)) == 5
-        assert count_in_ellipsoid(z2_lattice, Ellipsoid(H, 1.125)) == 9
-        assert count_in_ellipsoid(z2_lattice, Ellipsoid(H, 2.0)) == 13
+        counts = [len(classify_points(z2_lattice, Ellipsoid(H, E)).inside)
+                  for E in (0.5, 1.125, 2.0)]
+        assert counts == [5, 9, 13]
 
     def test_against_brute_force(self, z2_lattice):
         rng = np.random.default_rng(3)
@@ -399,4 +401,4 @@ class TestCountInEllipsoid:
             E = rng.uniform(0.3, 4.0)
             ell = Ellipsoid(H, E)
             brute = sum(1 for z in z2_lattice.points if H.value(z) <= E)
-            assert count_in_ellipsoid(z2_lattice, ell) == brute
+            assert len(classify_points(z2_lattice, ell).inside) == brute
