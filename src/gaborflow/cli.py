@@ -145,12 +145,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    import numpy as np
-
     from .metaplectic import covariance_defect
 
     cfg = _load_config(args)
-    M = np.asarray(cfg.ellipsoid.M, dtype=float)
+    M = cfg.build_ellipsoid().H.M
     grids = cfg.covariance.grids or [cfg.grid.N]
     grids = [int(n) for n in grids]
     header = ["t", "q", "p"] + [f"defect_N{n}" for n in grids]

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .symplectic import PhasePoint, QuadraticHamiltonian, coords_of, flow_matrix
 
@@ -86,6 +85,21 @@ class Box:
         return self.lower.size // 2
 
 
+def _nearest_distance(pts: np.ndarray, rows: np.ndarray) -> float:
+    """Smallest distance from a point pts[i], i in ``rows``, to any other point.
+
+    Squared differences are summed into a (len(rows), m) array one
+    coordinate at a time, in coordinate order, as a pairwise-distance loop
+    rounds them; broadcasting to (len(rows), m, 2n) and reducing the last
+    axis instead is slower.
+    """
+    d2 = np.zeros((len(rows), pts.shape[0]))
+    for j in range(pts.shape[1]):
+        d2 += np.subtract.outer(pts[rows, j], pts[:, j]) ** 2
+    d2[np.arange(len(rows)), rows] = np.inf
+    return float(np.sqrt(np.min(d2)))
+
+
 @dataclass(frozen=True)
 class PointSet:
     """Finite collection of phase-space points with a certified separation.
@@ -113,7 +127,7 @@ class PointSet:
         if not (self.delta > 0.0):
             raise ValueError(f"delta must be positive, got {self.delta!r}")
         if self._checked and pts.shape[0] > 1:
-            dmin = float(np.min(pdist(pts)))
+            dmin = _nearest_distance(pts, np.arange(pts.shape[0]))
             if dmin == 0.0:
                 raise ValueError("duplicate points are not allowed")
             if dmin < self.delta * (1.0 - _REL_SLACK):
@@ -471,7 +485,8 @@ def move_points(
     new_pts = np.array(P.points, copy=True)
     new_pts[moved] = P.points[moved] @ S.T
     if new_pts.shape[0] > 1:
-        dmin = float(np.min(pdist(new_pts)))
+        # pairs of two fixed points keep their certified separation
+        dmin = _nearest_distance(new_pts, moved)
     else:
         dmin = P.delta
     collided = dmin < collision_tol

@@ -18,10 +18,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .quantum import GridSpec, State, gaussian_window, heisenberg
-from .symplectic import SymplecticMatrix, coords_of, standard_J
+from .symplectic import QuadraticHamiltonian, SymplecticMatrix, coords_of, flow_matrix
 
 __all__ = [
     "QuantizedHamiltonian",
@@ -211,9 +210,7 @@ def covariance_defect(M, t: float, z, g: GridSpec) -> float:
             "defect may be resolution-limited",
             stacklevel=2,
         )
-    M = np.asarray(M, dtype=float)
-    J = standard_J(1)
-    St = expm(float(t) * (J @ M))
+    St = flow_matrix(QuadraticHamiltonian(M), t).S
     U = metaplectic_lift(M, t, g)
     Uinv = U.inverse()
     rng = np.random.default_rng(_PROBE_SEED)

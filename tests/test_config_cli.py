@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +252,12 @@ class TestCliCommands:
         bad.write_text(json.dumps({"ellipsoid": {"E": -1.0}}))
         assert run_cli(["count", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_covariance_rejects_indefinite_M(self, small_config, tmp_path, capsys):
+        code = run_cli(["covariance", "--config", str(small_config), "--out", str(tmp_path),
+                        "--override", "ellipsoid.M=[[1,0],[0,-1]]"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, small_config, tmp_path):
         # a time below the step-underflow threshold trips the integrator guard
         code = run_cli(["flow", "--config", str(small_config), "--out", str(tmp_path),
@@ -265,6 +273,27 @@ class TestCliCommands:
         monkeypatch.setitem(cli._COMMANDS, "count", broken)
         with pytest.raises(TypeError, match="unsupported operand"):
             run_cli(["count", "--config", str(small_config), "--out", str(tmp_path)])
+
+    def test_no_scipy_on_the_run_path(self, small_config, tmp_path):
+        # a fresh interpreter, so that only the subcommands' own imports count;
+        # the last line of its output maps each command to its exit code and
+        # the scipy modules loaded by then
+        script = (
+            "import json, sys\n"
+            "from gaborflow.cli import _COMMANDS, main\n"
+            "report = {}\n"
+            "for cmd in _COMMANDS:\n"
+            f"    code = main([cmd, '--config', {str(small_config)!r}, '--out', {str(tmp_path)!r},"
+            " '--no-timestamp'])\n"
+            "    report[cmd] = [code, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]\n"
+            "print(json.dumps(report))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        commands = ["bounds", "deform", "flow", "epsilon", "count", "covariance"]
+        assert report == {cmd: [0, []] for cmd in commands}
 
     def test_in_process_reruns_byte_identical(self, small_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

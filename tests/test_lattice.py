@@ -13,7 +13,9 @@ from gaborflow.lattice import (
     classify_points,
     deform_point_set,
     distance_to_ellipsoid,
+    _nearest_distance,
     max_safe_epsilon,
+    move_points,
     separable_lattice,
 )
 from gaborflow.symplectic import QuadraticHamiltonian
@@ -69,6 +71,52 @@ class TestPointSet:
         ps = PointSet(pts, delta=1e-3)
         back = PointSet.from_json(ps.to_json())
         assert np.array_equal(back.points, ps.points)
+
+
+def brute_nearest(pts, rows):
+    """Double loop over the pairs with at least one point in ``rows``."""
+    return min(math.dist(pts[i], pts[j]) for i in rows for j in range(len(pts)) if j != i)
+
+
+def assert_within_ulps(got, ref):
+    # each distance is 2n <= 4 rounded squared differences, their sum and a
+    # square root: within 4 units in the last place of math.dist's value
+    assert abs(got - ref) <= 4.0 * math.ulp(ref)
+
+
+class TestNearestDistance:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_separation_check_against_double_loop(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(20):
+            pts = rng.normal(size=(int(rng.integers(2, 40)), 2 * n))
+            dmin = brute_nearest(pts, range(len(pts)))
+            assert_within_ulps(_nearest_distance(pts, np.arange(len(pts))), dmin)
+            PointSet(pts, delta=dmin)
+            with pytest.raises(ValueError, match="separation"):
+                PointSet(pts, delta=dmin * (1.0 + 1e-8))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_move_points_delta_against_double_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        ell = Ellipsoid(QuadraticHamiltonian(np.eye(2 * n)), 1.0)
+        for _ in range(20):
+            m = int(rng.integers(2, 40))
+            pts = 1.5 * rng.normal(size=(m, 2 * n))
+            P = PointSet(pts, delta=brute_nearest(pts, range(m)))
+            moved = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            out = move_points(P, moved, ell, float(rng.uniform(-3.0, 3.0)))
+            assert_within_ulps(out.delta, min(P.delta, brute_nearest(out.points, moved)))
+
+    def test_closest_pair_moved_and_fixed(self, unit_circle):
+        # (0.5, 0) turns onto (0, -0.5), 0.8 from the fixed (0, -1.3); the
+        # fixed pair (2, 2), (3, 2) keeps the old separation 1
+        pts = np.array([[0.5, 0.0], [0.0, -1.3], [2.0, 2.0], [3.0, 2.0]])
+        P = PointSet(pts, delta=1.0)
+        out = move_points(P, np.array([0]), unit_circle, math.pi / 2.0)
+        assert out.delta == pytest.approx(0.8, rel=1e-12)
+        assert_within_ulps(out.delta, math.dist(out.points[0], pts[1]))
+        assert_within_ulps(out.delta, brute_nearest(out.points, range(4)))
 
 
 class TestSeparableLattice:

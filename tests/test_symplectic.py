@@ -11,10 +11,8 @@ from gaborflow.symplectic import (
     SymplecticMatrix,
     flow_matrix,
     is_symplectic,
-    path_continuity_constant,
     standard_J,
     symplectic_form,
-    symplectic_path,
 )
 
 
@@ -161,31 +159,27 @@ class TestFlowMatrix:
         oracle = np.stack(cols, axis=-1)
         assert np.allclose(flow_matrix(H, t).S, oracle, atol=1e-8)
 
-
-class TestSymplecticPath:
-    def test_single_point(self):
-        H = QuadraticHamiltonian(np.eye(2))
-        path = symplectic_path(H, [0.0])
-        assert len(path) == 1
-        assert np.array_equal(path[0].S, np.eye(2))
+    def test_n2_against_power_series(self):
+        # independent oracle: truncated power series of exp(tJM) with 60 terms;
+        # ||tJM|| is below 4, so the omitted terms are far below rounding
+        M = random_pd_matrix(np.random.default_rng(11), 2)
+        H = QuadraticHamiltonian(M)
+        t = 0.9
+        A = t * standard_J(2) @ M
+        series = np.zeros((4, 4))
+        term = np.eye(4)
+        for k in range(60):
+            series = series + term
+            term = term @ A / (k + 1)
+        assert np.allclose(flow_matrix(H, t).S, series, rtol=0.0, atol=1e-12)
 
     def test_full_rotation_returns_to_identity(self):
         H = QuadraticHamiltonian(np.eye(2))
         grid = np.linspace(0.0, 2.0 * math.pi, 100)
-        path = symplectic_path(H, grid)
-        assert np.max(np.abs(path[-1].S - np.eye(2))) <= 1e-9
-        for S in path[:: 9]:
-            assert is_symplectic(S.S, 1e-9)
-        C = path_continuity_constant(path, grid)
-        # rotation generator has unit norm, so the witness sits near 1
-        assert 0.5 < C < 2.0
-
-    def test_rejects_bad_grids(self):
-        H = QuadraticHamiltonian(np.eye(2))
-        with pytest.raises(ValueError, match="start"):
-            symplectic_path(H, [0.5, 1.0])
-        with pytest.raises(ValueError, match="increasing"):
-            symplectic_path(H, [0.0, 1.0, 0.5])
+        path = [flow_matrix(H, t).S for t in grid]
+        assert np.max(np.abs(path[-1] - np.eye(2))) <= 1e-9
+        for S in path[::9]:
+            assert is_symplectic(S, 1e-9)
 
 
 class TestFlowProperties:
@@ -214,6 +208,14 @@ class TestFlowProperties:
     @given(H=pd_hamiltonians(1), t=times, zx=st.floats(-3, 3), zp=st.floats(-3, 3))
     def test_energy_invariance(self, H, t, zx, zp):
         z = np.array([zx, zp])
+        before = H.value(z)
+        after = H.value(flow_matrix(H, t).S @ z)
+        assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
+
+    @given(H=pd_hamiltonians(2), t=times, z=st.lists(st.floats(-3, 3), min_size=4, max_size=4))
+    @settings(max_examples=15)
+    def test_energy_invariance_n2(self, H, t, z):
+        z = np.array(z)
         before = H.value(z)
         after = H.value(flow_matrix(H, t).S @ z)
         assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
