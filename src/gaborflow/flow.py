@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Ellipsoid, PointSet, classify_points, distance_to_ellipsoid
-from .symplectic import PhasePoint, coords_of, flow_matrix, standard_J
+from .lattice import (
+    Ellipsoid,
+    PointSet,
+    classify_points,
+    distance_to_ellipsoid,
+    off_surface_distances,
+)
+from .symplectic import PhasePoint, coords_of, flow_matrix
 
 __all__ = [
     "BumpSpec",
@@ -120,7 +126,7 @@ def _distance_bounds(zc: np.ndarray, ell: Ellipsoid, Hval: float) -> tuple[float
 
 
 def _region(zc: np.ndarray, bump: BumpSpec):
-    """Classify z against the cutoff plateaus: (region, s, projection).
+    """Classify z against the cutoff plateaus: (region, s, projection, H(z)).
 
     The cheap distance bounds certify most plateau/outside calls without the
     Lagrange projection, which matters inside RK4 stage evaluations; the
@@ -129,19 +135,19 @@ def _region(zc: np.ndarray, bump: BumpSpec):
     ell = bump.ell
     Hval = ell.H.value(zc)
     if Hval <= ell.E:
-        return _PLATEAU, 0.0, None
+        return _PLATEAU, 0.0, None, Hval
     half = bump.eps / 2.0
     d_lo, d_hi = _distance_bounds(zc, ell, Hval)
     if d_hi <= half:
-        return _PLATEAU, d_hi, None
+        return _PLATEAU, d_hi, None, Hval
     if d_lo >= bump.eps:
-        return _OUTSIDE, d_lo, None
+        return _OUTSIDE, d_lo, None, Hval
     d, proj = distance_to_ellipsoid(zc, ell)
     if d <= half:
-        return _PLATEAU, d, proj
+        return _PLATEAU, d, proj, Hval
     if d >= bump.eps:
-        return _OUTSIDE, d, proj
-    return _SHELL, d, proj
+        return _OUTSIDE, d, proj, Hval
+    return _SHELL, d, proj, Hval
 
 
 def chi(z, bump: BumpSpec) -> float:
@@ -151,7 +157,7 @@ def chi(z, bump: BumpSpec) -> float:
     s >= eps, and the smooth monotone transition h((s - eps/2)/(eps/2)) in
     between, where h(u) = g(1-u)/(g(u)+g(1-u)) and g(u) = exp(-1/u) for u > 0.
     """
-    region, s, _ = _region(coords_of(z), bump)
+    region, s, _, _ = _region(coords_of(z), bump)
     if region == _PLATEAU:
         return 1.0
     if region == _OUTSIDE:
@@ -181,7 +187,7 @@ def grad_chi(z, bump: BumpSpec) -> np.ndarray:
             stacklevel=2,
         )
         return np.zeros_like(zc)
-    region, d, proj = _region(zc, bump)
+    region, d, proj, _ = _region(zc, bump)
     if region != _SHELL:
         return np.zeros_like(zc)
     half = bump.eps / 2.0
@@ -193,45 +199,33 @@ def grad_chi(z, bump: BumpSpec) -> np.ndarray:
 
 def truncated_hamiltonian_value(z, th: TruncatedHamiltonian) -> float:
     """H(z) * chi(z): equals H on the inner plateau, 0 outside the support."""
-    zc = coords_of(z)
-    c = chi(zc, th.bump)
-    if c == 0.0:
-        return 0.0
-    return th.ell.H.value(zc) * c
+    return hamiltonian_field(z, th)[1]
 
 
-def hamiltonian_field(z, th: TruncatedHamiltonian) -> np.ndarray:
-    """Hamiltonian vector field J grad(H * chi) of the truncated Hamiltonian.
+def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[np.ndarray, float]:
+    """Hamiltonian vector field J grad(H * chi) and the value H * chi at z.
 
-    Exactly zero outside the support, exactly J M z on the plateau where the
-    cutoff is identically 1.
+    One classification of z gives both.  The field is exactly zero outside
+    the support and exactly J M z on the plateau where the cutoff is
+    identically 1.  J acts as the block swap (x, p) -> (p, -x).
     """
     zc = coords_of(z)
-    ell = th.ell
     bump = th.bump
-    J = standard_J(zc.size // 2)
-    region, d, proj = _region(zc, bump)
-    if region == _PLATEAU:
-        return J @ (ell.H.M @ zc)
+    region, d, proj, Hval = _region(zc, bump)
     if region == _OUTSIDE:
-        return np.zeros(zc.size)
-    half = bump.eps / 2.0
-    u = (d - half) / half
-    grad = _h(u) * (ell.H.M @ zc)
-    hp = _h_prime(u)
-    if hp != 0.0:
-        grad = grad + ell.H.value(zc) * hp * (2.0 / bump.eps) * (zc - proj.coords) / d
-    return J @ grad
-
-
-def _rk4_step(z: np.ndarray, dt: float, th: TruncatedHamiltonian):
-    k1 = hamiltonian_field(z, th)
-    if not np.any(k1):
-        return None  # zero field: the point is a fixed point of the truncated flow
-    k2 = hamiltonian_field(z + 0.5 * dt * k1, th)
-    k3 = hamiltonian_field(z + 0.5 * dt * k2, th)
-    k4 = hamiltonian_field(z + dt * k3, th)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return np.zeros(zc.size), 0.0
+    grad = th.ell.H.M @ zc
+    if region == _SHELL:
+        half = bump.eps / 2.0
+        u = (d - half) / half
+        c = _h(u)
+        grad = c * grad
+        hp = _h_prime(u)
+        if hp != 0.0:
+            grad = grad + Hval * hp * (2.0 / bump.eps) * (zc - proj.coords) / d
+        Hval = Hval * c
+    n = zc.size // 2
+    return np.concatenate((grad[n:], -grad[:n])), Hval
 
 
 def _step_plan(t: float, dt_max: float):
@@ -247,50 +241,41 @@ def _step_plan(t: float, dt_max: float):
 def integrate_flow(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3) -> PhasePoint:
     """Integrate zdot = J grad(H*chi) from z0 over time t with fixed-step RK4.
 
-    Starting points outside the support are returned bitwise unchanged (the
-    field is identically zero there, enforced by an early-out on a vanishing
-    field rather than by accumulating arithmetic).  Starting points in the
-    enclosed region follow the exact linear flow up to the integrator error.
+    The last row of ``flow_trajectory``: starting points outside the support
+    are returned bitwise unchanged, and starting points in the enclosed region
+    follow the exact linear flow up to the integrator error.
     """
-    zc = coords_of(z0)
-    if t == 0.0:
-        return PhasePoint(zc)
-    steps, dt = _step_plan(t, dt_max)
-    z = zc
-    for _ in range(steps):
-        nxt = _rk4_step(z, dt, th)
-        if nxt is None:
-            break
-        z = nxt
-    return PhasePoint(z)
+    return PhasePoint(flow_trajectory(z0, th, t, dt_max)[1][-1])
 
 
 def flow_trajectory(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3):
     """Full RK4 trajectory: arrays (times, points, truncated H values).
 
-    Rows are recorded at every accepted step including the initial time.
+    Rows are recorded at every step including the initial time.  The field
+    evaluation at a recorded point gives both its H value and the first
+    stage of the next step.  Once the field vanishes the point is a fixed
+    point of the truncated flow (the field is identically zero outside the
+    support): the remaining rows repeat it bitwise instead of accumulating
+    arithmetic.
     """
-    zc = coords_of(z0)
-    if t == 0.0:
-        hval = truncated_hamiltonian_value(zc, th)
-        return np.array([0.0]), zc[None, :].copy(), np.array([hval])
-    steps, dt = _step_plan(t, dt_max)
-    times = [0.0]
-    pts = [zc.copy()]
-    hvals = [truncated_hamiltonian_value(zc, th)]
-    z = zc
-    frozen = False
-    for k in range(steps):
-        if not frozen:
-            nxt = _rk4_step(z, dt, th)
-            if nxt is None:
-                frozen = True
-            else:
-                z = nxt
-        times.append((k + 1) * dt)
-        pts.append(z.copy())
-        hvals.append(truncated_hamiltonian_value(z, th))
-    return np.asarray(times), np.asarray(pts), np.asarray(hvals)
+    z = coords_of(z0)
+    steps, dt = _step_plan(t, dt_max) if t != 0.0 else (0, 0.0)
+    k1, hval = hamiltonian_field(z, th)
+    pts, hvals = [z], [hval]
+    for _ in range(steps):
+        if not np.any(k1):
+            break
+        k2, _ = hamiltonian_field(z + 0.5 * dt * k1, th)
+        k3, _ = hamiltonian_field(z + 0.5 * dt * k2, th)
+        k4, _ = hamiltonian_field(z + dt * k3, th)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1, hval = hamiltonian_field(z, th)
+        pts.append(z)
+        hvals.append(hval)
+    frozen = steps + 1 - len(pts)
+    times = np.concatenate(([0.0], np.arange(1, steps + 1) * dt))
+    pts = np.concatenate((pts, np.broadcast_to(z, (frozen, z.size))))
+    return times, pts, np.concatenate((hvals, np.full(frozen, hval)))
 
 
 @dataclass(frozen=True)
@@ -320,18 +305,14 @@ def verify_truncated_flow(
     """
     ell = th.ell
     eps = th.bump.eps
-    classes = classify_points(P, ell, 1e-9)
-    offenders = []
-    for i in np.union1d(classes.interior, classes.exterior):
-        d, _ = distance_to_ellipsoid(P.points[i], ell)
-        if d < eps:
-            offenders.append(P.points[i].tolist())
-    if offenders:
+    idx, dists = off_surface_distances(P, ell)
+    offenders = idx[dists < eps]
+    if offenders.size:
         raise ValueError(
             f"eps={eps:g} exceeds the safe thickening radius: points inside "
-            f"the shell: {offenders}"
+            f"the shell: {P.points[offenders].tolist()}"
         )
-    enclosed = np.isin(np.arange(len(P)), classes.inside)
+    enclosed = np.isin(np.arange(len(P)), classify_points(P, ell).inside)
     S = flow_matrix(ell.H, t).S
     devs = np.zeros(len(P))
     moved = fixed = 0

@@ -11,7 +11,6 @@ linear flow and leaves the rest untouched.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ __all__ = [
     "separable_lattice",
     "classify_points",
     "distance_to_ellipsoid",
+    "off_surface_distances",
     "max_safe_epsilon",
     "deform_point_set",
     "move_points",
@@ -147,27 +147,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def __iter__(self):
-        return (PhasePoint(row) for row in self.points)
-
-    def to_json(self) -> str:
-        """Serialize as {"dim": n, "delta": d, "points": [...]}, doubles with
-        17 significant decimal digits."""
-        rows = ", ".join(
-            "[" + ", ".join(format(v, ".17g") for v in row) + "]" for row in self.points
-        )
-        return (
-            f'{{"dim": {self.dim}, "delta": {format(self.delta, ".17g")}, '
-            f'"points": [{rows}]}}'
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PointSet":
-        obj = json.loads(text)
-        n = int(obj["dim"])
-        pts = np.asarray(obj["points"], dtype=float).reshape(-1, 2 * n)
-        return cls(pts, float(obj["delta"]))
 
 
 @dataclass(frozen=True)
@@ -372,7 +351,7 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
     if abs(Hz - E) <= ON_SURFACE_REL_TOL * E:
         return 0.0, PhasePoint(zc)
 
-    mu, Q = np.linalg.eigh(ell.H.M)
+    mu, Q = ell.H.eigenvalues, ell.H.eigenvectors
     y = Q.T @ zc
     r = mu / mu[-1]
     c = 1.0 - r  # exact for r >= 1/2, zero on the top eigenspace
@@ -415,6 +394,18 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
     return float(np.linalg.norm(y - w)), PhasePoint(Q @ w)
 
 
+def off_surface_distances(
+    P: PointSet, ell: Ellipsoid, boundary_tol: float = BOUNDARY_TOL_DEFAULT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the points of P off the surface, |H(z) - E| > boundary_tol*E,
+    in ascending order, and their distances to the surface."""
+    if P.dim != ell.dim:
+        raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
+    off = np.abs(ell.H.values(P.points) - ell.E) > boundary_tol * ell.E
+    idx = np.nonzero(off)[0]
+    return idx, np.array([distance_to_ellipsoid(P.points[i], ell)[0] for i in idx])
+
+
 def max_safe_epsilon(
     P: PointSet,
     ell: Ellipsoid,
@@ -429,16 +420,8 @@ def max_safe_epsilon(
     surface, returns the configured cap ``eps_max`` (a finite cap keeps cutoff
     supports bounded).
     """
-    if P.dim != ell.dim:
-        raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
-    if len(P) == 0:
-        return eps_max
-    vals = ell.H.values(P.points)
-    off = np.abs(vals - ell.E) > boundary_tol * ell.E
-    if not np.any(off):
-        return eps_max
-    dists = [distance_to_ellipsoid(P.points[i], ell)[0] for i in np.nonzero(off)[0]]
-    return float(min(dists))
+    _, dists = off_surface_distances(P, ell, boundary_tol)
+    return float(np.min(dists)) if dists.size else eps_max
 
 
 def deform_point_set(

@@ -31,7 +31,6 @@ __all__ = [
     "metaplectic_lift",
     "covariance_defect",
     "gaussian_mobius",
-    "lift_continuity_constant",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -248,16 +247,3 @@ def gaussian_mobius(Gamma: complex, S) -> complex:
         raise ValueError(f"Moebius image left the upper half-plane: {out!r}")
     return out
 
-
-def lift_continuity_constant(M, t_grid, g: GridSpec) -> float:
-    """Measured C with ||U_{t_{k+1}} - U_{t_k}||_2 <= C * dt over the grid."""
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size < 2:
-        return 0.0
-    mats = [metaplectic_lift(M, t, g).U for t in ts]
-    best = 0.0
-    for k in range(len(mats) - 1):
-        dt = ts[k + 1] - ts[k]
-        step = float(np.linalg.norm(mats[k + 1] - mats[k], ord=2))
-        best = max(best, step / dt)
-    return best

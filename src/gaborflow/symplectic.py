@@ -90,13 +90,17 @@ def symplectic_form(z, zp) -> float:
 class QuadraticHamiltonian:
     """H(z) = (1/2) M z . z with M symmetric positive definite.
 
-    The smallest eigenvalue of M is computed at construction and exposed as
-    ``min_eigenvalue``; positive definiteness is required so that level sets
-    {H = E} are compact ellipsoids.
+    The eigendecomposition M = Q diag(mu) Q^T is computed once at
+    construction: ``eigenvalues`` mu in ascending order, ``eigenvectors`` Q
+    column-wise, and their ends ``min_eigenvalue`` and ``max_eigenvalue``.
+    Positive definiteness is required so that level sets {H = E} are compact
+    ellipsoids.
     """
 
     M: np.ndarray
     dim: int = field(init=False)
+    eigenvalues: np.ndarray = field(init=False)
+    eigenvectors: np.ndarray = field(init=False)
     min_eigenvalue: float = field(init=False)
     max_eigenvalue: float = field(init=False)
 
@@ -110,15 +114,18 @@ class QuadraticHamiltonian:
         defect = np.max(np.abs(M - M.T))
         if defect > SYMMETRY_TOL:
             raise ValueError(f"M must be symmetric within {SYMMETRY_TOL}, defect {defect:.3e}")
-        spectrum = np.linalg.eigvalsh(M)
-        lam_min = float(spectrum[0])
+        mu, Q = np.linalg.eigh(M)
+        lam_min = float(mu[0])
         if lam_min <= 0.0:
             raise ValueError(f"M must be positive definite, smallest eigenvalue {lam_min:.3e}")
-        M.setflags(write=False)
+        for a in (M, mu, Q):
+            a.setflags(write=False)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "dim", side // 2)
+        object.__setattr__(self, "eigenvalues", mu)
+        object.__setattr__(self, "eigenvectors", Q)
         object.__setattr__(self, "min_eigenvalue", lam_min)
-        object.__setattr__(self, "max_eigenvalue", float(spectrum[-1]))
+        object.__setattr__(self, "max_eigenvalue", float(mu[-1]))
 
     def value(self, z) -> float:
         z = coords_of(z)
@@ -170,9 +177,6 @@ class SymplecticMatrix:
     def n(self) -> int:
         return self.S.shape[0] // 2
 
-    def apply(self, z) -> PhasePoint:
-        return PhasePoint(self.S @ coords_of(z))
-
     def inverse(self) -> "SymplecticMatrix":
         # S^{-1} = J^T S^T J for symplectic S; cheaper and exactly structured
         J = standard_J(self.n)
@@ -207,7 +211,7 @@ def flow_matrix(H: QuadraticHamiltonian, t: float) -> SymplecticMatrix:
     against the symplecticity tolerance at construction.
     """
     t = float(t)
-    mu, Q = np.linalg.eigh(H.M)
+    mu, Q = H.eigenvalues, H.eigenvectors
     R = (Q * np.sqrt(mu)) @ Q.T
     R_inv = (Q / np.sqrt(mu)) @ Q.T
     lam, V = np.linalg.eigh(1j * (R @ standard_J(H.dim) @ R))

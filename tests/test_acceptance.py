@@ -66,7 +66,12 @@ def exact_enclosed_count(E):
 
 
 def sampled_surface_distances(points, ell, samples=400_000):
-    """Independent oracle: min distance to a dense sampling of the surface."""
+    """Independent oracle: min distance to a dense sampling of the surface.
+
+    The squared distances are minimized over eight points at a time and
+    square-rooted once; sqrt is monotone and correctly rounded, so this
+    equals the minimum of the sampled distances bitwise.
+    """
     mu, Q = np.linalg.eigh(ell.H.M)
     theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     boundary = np.stack(
@@ -76,10 +81,12 @@ def sampled_surface_distances(points, ell, samples=400_000):
         ],
         axis=-1,
     ) @ Q.T
-    out = np.empty(len(points))
-    for i, z in enumerate(points):
-        out[i] = float(np.min(np.linalg.norm(boundary - z, axis=1)))
-    return out
+    d2 = np.empty(len(points))
+    for i in range(0, len(points), 8):
+        z = points[i : i + 8]
+        sq = (boundary[:, 0] - z[:, :1]) ** 2 + (boundary[:, 1] - z[:, 1:]) ** 2
+        d2[i : i + 8] = np.min(sq, axis=1)
+    return np.sqrt(d2)
 
 
 def test_criterion_1_symplecticity_and_group_law():

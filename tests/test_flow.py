@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaborflow import flow
 from gaborflow.cli import main
 from gaborflow.flow import (
     BumpSpec,
@@ -20,6 +21,15 @@ from gaborflow.flow import (
 )
 from gaborflow.lattice import Ellipsoid
 from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix
+
+
+# starts for the unit circle with eps = 0.3: distance 0.2 from the surface lies
+# in the transition shell (0.15, 0.3)
+STARTS = {
+    "shell": [1.2 * math.cos(0.4), 1.2 * math.sin(0.4)],
+    "plateau": [0.5, 0.1],
+    "outside": [3.0, 3.0],
+}
 
 
 @pytest.fixture
@@ -205,3 +215,31 @@ class TestTrajectory:
         assert times.size == 21
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("kind", STARTS)
+    def test_h_column_is_truncated_value_of_each_row(self, circle_truncated, kind):
+        _, pts, hvals = flow_trajectory(STARTS[kind], circle_truncated, 0.05, 1e-3)
+        expect = [truncated_hamiltonian_value(z, circle_truncated) for z in pts]
+        assert np.array_equal(hvals, expect)
+
+    @pytest.mark.parametrize("kind", STARTS)
+    def test_integrate_flow_is_last_row(self, circle_truncated, kind):
+        _, pts, _ = flow_trajectory(STARTS[kind], circle_truncated, 0.05, 1e-3)
+        end = integrate_flow(STARTS[kind], circle_truncated, 0.05, 1e-3).coords
+        assert np.array_equal(end, pts[-1])
+
+    def test_one_classification_per_rk4_point(self, circle_truncated, monkeypatch):
+        calls = []
+        region = flow._region
+
+        def counting(zc, bump):
+            calls.append(zc)
+            return region(zc, bump)
+
+        monkeypatch.setattr(flow, "_region", counting)
+        k = 20
+        _, _, hvals = flow_trajectory(STARTS["shell"], circle_truncated, 0.02, 1e-3)
+        # every row lies in the shell, so no step is skipped
+        assert np.all((hvals > 0.0) & (hvals < circle_truncated.ell.value(STARTS["shell"])))
+        # four RK4 stages per step, the first of which also gives the row's H
+        assert len(calls) == 4 * k + 1

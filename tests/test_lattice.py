@@ -1,10 +1,7 @@
-import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gaborflow.lattice import (
     Box,
@@ -16,6 +13,7 @@ from gaborflow.lattice import (
     _nearest_distance,
     max_safe_epsilon,
     move_points,
+    off_surface_distances,
     separable_lattice,
 )
 from gaborflow.symplectic import QuadraticHamiltonian
@@ -53,24 +51,6 @@ class TestPointSet:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             PointSet(np.array([[1.0, 0.0], [1.0, 0.0]]), delta=0.5)
-
-    def test_json_round_trip_examples(self, z2_lattice):
-        text = z2_lattice.to_json()
-        back = PointSet.from_json(text)
-        assert back.dim == 1
-        assert back.delta == z2_lattice.delta
-        assert np.array_equal(back.points, z2_lattice.points)
-        # the serialized text is plain JSON
-        assert json.loads(text)["dim"] == 1
-
-    @given(st.lists(st.floats(-50, 50).map(lambda v: round(v, 3)), min_size=4, max_size=4))
-    def test_json_round_trip_exact_doubles(self, vals):
-        pts = np.array(vals).reshape(2, 2) * math.pi  # irrational-ish doubles
-        if np.min(np.linalg.norm(pts[0] - pts[1])) < 1e-3:
-            return
-        ps = PointSet(pts, delta=1e-3)
-        back = PointSet.from_json(ps.to_json())
-        assert np.array_equal(back.points, ps.points)
 
 
 def brute_nearest(pts, rows):
@@ -220,6 +200,16 @@ class TestDistanceToEllipsoid:
         d_off, _ = distance_to_ellipsoid(z, unit_circle)
         assert d_off > 0.0
 
+    def test_reads_the_stored_eigenbasis(self, monkeypatch):
+        ell = Ellipsoid(QuadraticHamiltonian([[2.0, 0.3], [0.3, 0.7]]), 0.5)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a) or eigh(*a))
+        # exterior, interior, the center (pole case) and a surface point
+        for z in ([2.0, 1.0], [0.1, 0.2], [0.0, 0.0], [1.0 / math.sqrt(2.0), 0.0]):
+            distance_to_ellipsoid(z, ell)
+        assert calls == []
+
     def test_dimension_mismatch(self, unit_circle):
         with pytest.raises(ValueError, match="dimension"):
             distance_to_ellipsoid([1.0, 0.0, 0.0, 0.0], unit_circle)
@@ -322,6 +312,24 @@ class TestSecularRoot:
         root = _secular_root(psi, 1e-30, 1e6)
         assert abs(root - 1.0) <= 4.0 * np.finfo(float).eps
         assert len(evals) <= 20
+
+
+class TestOffSurfaceDistances:
+    def test_scan_matches_per_point_distances(self, z2_lattice):
+        ell = Ellipsoid(QuadraticHamiltonian([[2.0, 0.3], [0.3, 0.7]]), 2.0)
+        idx, d = off_surface_distances(z2_lattice, ell)
+        vals = ell.H.values(z2_lattice.points)
+        assert np.array_equal(idx, np.nonzero(np.abs(vals - ell.E) > 1e-9 * ell.E)[0])
+        expect = [distance_to_ellipsoid(z2_lattice.points[i], ell)[0] for i in idx]
+        assert np.array_equal(d, expect)
+        assert max_safe_epsilon(z2_lattice, ell) == np.min(d)
+
+    def test_surface_points_left_out(self, z2_lattice, unit_circle):
+        idx, d = off_surface_distances(z2_lattice, unit_circle)
+        on = [i for i, z in enumerate(z2_lattice.points.tolist()) if z[0] ** 2 + z[1] ** 2 == 1]
+        assert len(on) == 4
+        assert np.array_equal(idx, np.setdiff1d(np.arange(49), on))
+        assert float(np.min(d)) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-12)
 
 
 class TestMaxSafeEpsilon:

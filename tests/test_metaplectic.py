@@ -6,7 +6,6 @@ import pytest
 from gaborflow.metaplectic import (
     covariance_defect,
     gaussian_mobius,
-    lift_continuity_constant,
     metaplectic_lift,
     momentum_operator,
     position_operator,
@@ -142,13 +141,6 @@ class TestMetaplecticLift:
         assert computed == [1.0, 2.0, 3.0]
         metaplectic_lift(Ms[1], 0.3, g)
         assert computed == [1.0, 2.0, 3.0, 2.0]
-
-    def test_continuity_constant_reported(self):
-        grid = np.linspace(0.0, 1.0, 21)
-        C = lift_continuity_constant(np.eye(2), grid, SMALL)
-        print(f"lift continuity witness C = {C:.4g}")
-        # bounded by ||H_op|| / hbar, which is finite on a fixed grid
-        assert 0.0 < C < 1e5
 
 
 class TestGaussianOracle:

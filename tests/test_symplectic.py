@@ -77,6 +77,18 @@ class TestQuadraticHamiltonian:
         assert H.max_eigenvalue == pytest.approx(4.0)
         assert H.value([1.0, 1.0]) == pytest.approx(2.5)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stored_eigenpairs_reconstruct_M(self, n):
+        M = random_pd_matrix(np.random.default_rng(30 + n), n)
+        H = QuadraticHamiltonian(M)
+        mu, Q = H.eigenvalues, H.eigenvectors
+        assert np.all(np.diff(mu) >= 0.0)
+        assert (H.min_eigenvalue, H.max_eigenvalue) == (mu[0], mu[-1])
+        scale = np.linalg.norm(M, 2)
+        assert np.max(np.abs((Q * mu) @ Q.T - M)) <= 1e-14 * scale
+        assert np.max(np.abs(Q.T @ Q - np.eye(2 * n))) <= 1e-14
+        assert not (mu.flags.writeable or Q.flags.writeable)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticHamiltonian([[1.0, 1e-6], [0.0, 1.0]])
@@ -158,6 +170,20 @@ class TestFlowMatrix:
             cols.append(z)
         oracle = np.stack(cols, axis=-1)
         assert np.allclose(flow_matrix(H, t).S, oracle, atol=1e-8)
+
+    def test_reads_the_stored_eigenbasis(self, monkeypatch):
+        H = QuadraticHamiltonian(random_pd_matrix(np.random.default_rng(12), 2))
+        args = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *rest, **kw):
+            args.append(a)
+            return eigh(a, *rest, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        flow_matrix(H, 0.9)
+        # the one remaining solve is of the Hermitian i R J R, never of M
+        assert len(args) == 1 and np.iscomplexobj(args[0])
 
     def test_n2_against_power_series(self):
         # independent oracle: truncated power series of exp(tJM) with 60 terms;
