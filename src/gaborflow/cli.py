@@ -95,11 +95,11 @@ def cmd_deform(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from .flow import BumpSpec, TruncatedHamiltonian, flow_trajectory
+    from .flow import TruncatedHamiltonian, flow_trajectory
 
     cfg = _load_config(args)
     ell = cfg.build_ellipsoid()
-    th = TruncatedHamiltonian(BumpSpec(ell, float(cfg.flow.eps)))
+    th = TruncatedHamiltonian(ell, float(cfg.flow.eps))
     times, pts, hvals = flow_trajectory(
         [float(v) for v in cfg.flow.z0], th, float(cfg.flow.t), float(cfg.flow.dt_max)
     )

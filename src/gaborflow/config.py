@@ -114,15 +114,20 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        cfg = cls()
+        cfg._merge(data)
+        return cfg
+
+    def _merge(self, data: dict) -> None:
+        """Set ``section.key`` for every ``{section: {key: value}}`` in data;
+        unknown sections and keys are rejected."""
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        cfg = cls()
-        sections = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(sections)
+        unknown = set(data) - {f.name for f in dataclasses.fields(self)}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         for name, payload in data.items():
-            section = getattr(cfg, name)
+            section = getattr(self, name)
             if not isinstance(payload, dict):
                 raise ConfigError(f"section {name!r} must be an object")
             allowed = {f.name for f in dataclasses.fields(section)}
@@ -131,7 +136,6 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
             for key, value in payload.items():
                 setattr(section, key, value)
-        return cfg
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
@@ -153,17 +157,11 @@ class ScenarioConfig:
             parts = path.split(".")
             if len(parts) != 2:
                 raise ConfigError(f"override path must be section.key, got {path!r}")
-            section_name, key = parts
-            if not hasattr(self, section_name):
-                raise ConfigError(f"unknown config section {section_name!r}")
-            section = getattr(self, section_name)
-            if not any(f.name == key for f in dataclasses.fields(section)):
-                raise ConfigError(f"unknown key {key!r} in section {section_name!r}")
             try:
                 value = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"override value is not valid JSON: {raw!r}") from exc
-            setattr(section, key, value)
+            self._merge({parts[0]: {parts[1]: value}})
 
     # builders: converting to module types is where validation bites
     def build_grid(self, N: int | None = None) -> GridSpec:

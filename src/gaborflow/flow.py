@@ -24,10 +24,9 @@ from .lattice import (
     distance_to_ellipsoid,
     off_surface_distances,
 )
-from .symplectic import PhasePoint, coords_of, flow_matrix
+from .symplectic import flow_matrix
 
 __all__ = [
-    "BumpSpec",
     "TruncatedHamiltonian",
     "FlowStepError",
     "NearSurfaceGradient",
@@ -52,9 +51,11 @@ class NearSurfaceGradient(UserWarning):
     """Cutoff gradient requested within 1e-12 of the ellipsoid surface."""
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Cutoff geometry: an ellipsoid and the shell width eps > 0.
+@dataclass(frozen=True, eq=False)
+class TruncatedHamiltonian:
+    """H restricted by the cutoff of an ellipsoid with shell width eps > 0:
+    value H(z) * chi(z), support inside the enclosed region plus the full
+    shell.
 
     The cutoff is 1 up to surface distance eps/2 and 0 from distance eps on.
     When driving lattice deformation experiments eps must not exceed
@@ -68,18 +69,6 @@ class BumpSpec:
     def __post_init__(self):
         if not (self.eps > 0.0):
             raise ValueError(f"eps must be positive, got {self.eps!r}")
-
-
-@dataclass(frozen=True)
-class TruncatedHamiltonian:
-    """H restricted by the cutoff: value H(z) * chi(z), support inside the
-    enclosed region plus the full shell."""
-
-    bump: BumpSpec
-
-    @property
-    def ell(self) -> Ellipsoid:
-        return self.bump.ell
 
 
 def _g(u: float) -> float:
@@ -125,48 +114,48 @@ def _distance_bounds(zc: np.ndarray, ell: Ellipsoid, Hval: float) -> tuple[float
     return d_lo, d_hi
 
 
-def _region(zc: np.ndarray, bump: BumpSpec):
+def _region(zc: np.ndarray, th: TruncatedHamiltonian):
     """Classify z against the cutoff plateaus: (region, s, projection, H(z)).
 
     The cheap distance bounds certify most plateau/outside calls without the
     Lagrange projection, which matters inside RK4 stage evaluations; the
     projection is only available (non-None) when the exact solve ran.
     """
-    ell = bump.ell
+    ell = th.ell
     Hval = ell.H.value(zc)
     if Hval <= ell.E:
         return _PLATEAU, 0.0, None, Hval
-    half = bump.eps / 2.0
+    half = th.eps / 2.0
     d_lo, d_hi = _distance_bounds(zc, ell, Hval)
     if d_hi <= half:
         return _PLATEAU, d_hi, None, Hval
-    if d_lo >= bump.eps:
+    if d_lo >= th.eps:
         return _OUTSIDE, d_lo, None, Hval
     d, proj = distance_to_ellipsoid(zc, ell)
     if d <= half:
         return _PLATEAU, d, proj, Hval
-    if d >= bump.eps:
+    if d >= th.eps:
         return _OUTSIDE, d, proj, Hval
     return _SHELL, d, proj, Hval
 
 
-def chi(z, bump: BumpSpec) -> float:
+def chi(z, th: TruncatedHamiltonian) -> float:
     """Cutoff value in [0, 1]; exactly 1 on the plateau, exactly 0 outside.
 
     With s the distance to the enclosed region: 1 for s <= eps/2, 0 for
     s >= eps, and the smooth monotone transition h((s - eps/2)/(eps/2)) in
     between, where h(u) = g(1-u)/(g(u)+g(1-u)) and g(u) = exp(-1/u) for u > 0.
     """
-    region, s, _, _ = _region(coords_of(z), bump)
+    region, s, _, _ = _region(np.asarray(z, dtype=float), th)
     if region == _PLATEAU:
         return 1.0
     if region == _OUTSIDE:
         return 0.0
-    half = bump.eps / 2.0
+    half = th.eps / 2.0
     return _h((s - half) / half)
 
 
-def grad_chi(z, bump: BumpSpec) -> np.ndarray:
+def grad_chi(z, th: TruncatedHamiltonian) -> np.ndarray:
     """Analytic gradient of the cutoff by the chain rule.
 
     grad chi = h'(u) * (2/eps) * (z - proj)/|z - proj| in the transition
@@ -174,8 +163,8 @@ def grad_chi(z, bump: BumpSpec) -> np.ndarray:
     the shell coordinate is only one-sidedly smooth) are evaluated on the
     inside branch (zero) with a NearSurfaceGradient warning.
     """
-    zc = coords_of(z)
-    ell = bump.ell
+    zc = np.asarray(z, dtype=float)
+    ell = th.ell
     Hval = ell.H.value(zc)
     if Hval <= ell.E:
         return np.zeros_like(zc)
@@ -187,14 +176,14 @@ def grad_chi(z, bump: BumpSpec) -> np.ndarray:
             stacklevel=2,
         )
         return np.zeros_like(zc)
-    region, d, proj, _ = _region(zc, bump)
+    region, d, proj, _ = _region(zc, th)
     if region != _SHELL:
         return np.zeros_like(zc)
-    half = bump.eps / 2.0
+    half = th.eps / 2.0
     hp = _h_prime((d - half) / half)
     if hp == 0.0:
         return np.zeros_like(zc)
-    return hp * (2.0 / bump.eps) * (zc - proj.coords) / d
+    return hp * (2.0 / th.eps) * (zc - proj) / d
 
 
 def truncated_hamiltonian_value(z, th: TruncatedHamiltonian) -> float:
@@ -209,20 +198,19 @@ def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[np.ndarray, float]:
     the support and exactly J M z on the plateau where the cutoff is
     identically 1.  J acts as the block swap (x, p) -> (p, -x).
     """
-    zc = coords_of(z)
-    bump = th.bump
-    region, d, proj, Hval = _region(zc, bump)
+    zc = np.asarray(z, dtype=float)
+    region, d, proj, Hval = _region(zc, th)
     if region == _OUTSIDE:
         return np.zeros(zc.size), 0.0
     grad = th.ell.H.M @ zc
     if region == _SHELL:
-        half = bump.eps / 2.0
+        half = th.eps / 2.0
         u = (d - half) / half
         c = _h(u)
         grad = c * grad
         hp = _h_prime(u)
         if hp != 0.0:
-            grad = grad + Hval * hp * (2.0 / bump.eps) * (zc - proj.coords) / d
+            grad = grad + Hval * hp * (2.0 / th.eps) * (zc - proj) / d
         Hval = Hval * c
     n = zc.size // 2
     return np.concatenate((grad[n:], -grad[:n])), Hval
@@ -238,14 +226,14 @@ def _step_plan(t: float, dt_max: float):
     return steps, dt
 
 
-def integrate_flow(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3) -> PhasePoint:
+def integrate_flow(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3) -> np.ndarray:
     """Integrate zdot = J grad(H*chi) from z0 over time t with fixed-step RK4.
 
     The last row of ``flow_trajectory``: starting points outside the support
     are returned bitwise unchanged, and starting points in the enclosed region
     follow the exact linear flow up to the integrator error.
     """
-    return PhasePoint(flow_trajectory(z0, th, t, dt_max)[1][-1])
+    return flow_trajectory(z0, th, t, dt_max)[1][-1]
 
 
 def flow_trajectory(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3):
@@ -258,7 +246,7 @@ def flow_trajectory(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3
     support): the remaining rows repeat it bitwise instead of accumulating
     arithmetic.
     """
-    z = coords_of(z0)
+    z = np.asarray(z0, dtype=float)
     steps, dt = _step_plan(t, dt_max) if t != 0.0 else (0, 0.0)
     k1, hval = hamiltonian_field(z, th)
     pts, hvals = [z], [hval]
@@ -278,7 +266,7 @@ def flow_trajectory(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3
     return times, pts, np.concatenate((hvals, np.full(frozen, hval)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowCheckReport:
     """Measured deviation of the integrated truncated flow from its predicted
     piecewise form: exact linear flow on the enclosed set, identity outside."""
@@ -304,7 +292,7 @@ def verify_truncated_flow(
     bitwise identical.
     """
     ell = th.ell
-    eps = th.bump.eps
+    eps = th.eps
     idx, dists = off_surface_distances(P, ell)
     offenders = idx[dists < eps]
     if offenders.size:
@@ -318,7 +306,7 @@ def verify_truncated_flow(
     moved = fixed = 0
     max_moved = max_fixed = 0.0
     for i, row in enumerate(P.points):
-        out = integrate_flow(row, th, t, dt_max).coords
+        out = integrate_flow(row, th, t, dt_max)
         if enclosed[i]:
             ref = S @ row
             devs[i] = float(np.max(np.abs(out - ref)))

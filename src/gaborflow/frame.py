@@ -28,7 +28,7 @@ from .lattice import (
 )
 from .metaplectic import metaplectic_lift
 from .quantum import GridSpec, State, heisenberg, heisenberg_rows, inner, norm
-from .symplectic import QuadraticHamiltonian, coords_of, flow_matrix
+from .symplectic import QuadraticHamiltonian, flow_matrix
 
 __all__ = [
     "GaborSystem",
@@ -51,7 +51,7 @@ FRAME_THRESHOLD = 1e-10  # A > threshold * B counts as a frame
 REPORT_COLUMNS = ("t", "E", "eps", "moved", "A", "B", "A_prime", "B_prime", "rel_dA", "rel_dB")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaborSystem:
     """A unit-norm window, a finite 2-D phase-space point set, and a grid."""
 
@@ -222,7 +222,7 @@ def covariant_deform(sys: GaborSystem, H: QuadraticHamiltonian, t: float, z0) ->
     """
     if H.dim != 1:
         raise ValueError("window transport is implemented for n = 1")
-    z0c = coords_of(z0)
+    z0c = np.asarray(z0, dtype=float)
     S = flow_matrix(H, t)
     zt = S.S @ z0c
     U = metaplectic_lift(H.M, t, sys.grid)

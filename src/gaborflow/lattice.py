@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import PhasePoint, QuadraticHamiltonian, coords_of, flow_matrix
+from .symplectic import QuadraticHamiltonian, flow_matrix
 
 __all__ = [
     "Box",
@@ -54,7 +54,7 @@ class ProjectionError(RuntimeError):
     """Nearest-point projection onto the ellipsoid could not be certified."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned box in R^{2n}: componentwise lower < upper."""
 
@@ -100,7 +100,7 @@ def _nearest_distance(pts: np.ndarray, rows: np.ndarray) -> float:
     return float(np.sqrt(np.min(d2)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """Finite collection of phase-space points with a certified separation.
 
@@ -149,7 +149,7 @@ class PointSet:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ellipsoid:
     """Level set {z : H(z) = E} of a positive definite quadratic Hamiltonian.
 
@@ -187,7 +187,7 @@ class Ellipsoid:
         return self.H.min_eigenvalue * self.inner_radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointClasses:
     """Index partition of a point set relative to an ellipsoid."""
 
@@ -305,7 +305,7 @@ def _secular_root(psi, lo, hi):
     return math.nan
 
 
-def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
+def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     """Euclidean distance from z to the surface {H = E} and the nearest point.
 
     The nearest point is w = (I + lam*M)^{-1} z, where the Lagrange
@@ -332,7 +332,8 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
     distance error amplified by 1/h, which stays far below 1e-5 for h = 1e-6.
 
     Points already on the surface within 1e-10 relative in H return distance
-    exactly 0 with z itself as the projection.
+    exactly 0 with a copy of z as the projection.  The projection is always a
+    new float array, never the caller's.
 
     Raises
     ------
@@ -341,7 +342,7 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
         message reports the scanned bracket rather than returning a wrong
         point.
     """
-    zc = coords_of(z)
+    zc = np.asarray(z, dtype=float)
     if zc.size != 2 * ell.dim:
         raise ValueError(f"dimension mismatch: point has {zc.size} coords, ellipsoid n={ell.dim}")
     E = ell.E
@@ -349,7 +350,7 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
     if not math.isfinite(Hz):
         raise ValueError(f"point must be finite with finite H, got {zc.tolist()}")
     if abs(Hz - E) <= ON_SURFACE_REL_TOL * E:
-        return 0.0, PhasePoint(zc)
+        return 0.0, zc.copy()
 
     mu, Q = ell.H.eigenvalues, ell.H.eigenvectors
     y = Q.T @ zc
@@ -381,7 +382,7 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
             lo = 0.0
         else:
             w = _pole_point(mu, y * nz, c, E)
-            return float(np.linalg.norm(y - w)), PhasePoint(Q @ w)
+            return float(np.linalg.norm(y - w)), Q @ w
 
     s = _secular_root(psi, lo, hi)
     w = np.zeros_like(y)
@@ -391,7 +392,7 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, PhasePoint]:
             f"no admissible projection found for z={zc.tolist()}: scanned the "
             f"multiplier bracket s = 1 + lam*mu_max in [{lo:.6e}, {hi:.6e}]"
         )
-    return float(np.linalg.norm(y - w)), PhasePoint(Q @ w)
+    return float(np.linalg.norm(y - w)), Q @ w
 
 
 def off_surface_distances(

@@ -15,15 +15,13 @@ from __future__ import annotations
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
 from .quantum import GridSpec, State, gaussian_window, heisenberg
-from .symplectic import QuadraticHamiltonian, SymplecticMatrix, coords_of, flow_matrix
+from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
-    "QuantizedHamiltonian",
     "Propagator",
     "position_operator",
     "momentum_operator",
@@ -33,7 +31,6 @@ __all__ = [
     "gaussian_mobius",
 ]
 
-HERMITICITY_TOL = 1e-10
 UNITARITY_TOL = 1e-9
 
 _PROBE_SEED = 20260314
@@ -52,11 +49,14 @@ def momentum_operator(g: GridSpec) -> np.ndarray:
     return np.fft.ifft(g.momenta()[:, None] * np.fft.fft(eye, axis=0), axis=0)
 
 
-def quantize_quadratic(M, g: GridSpec) -> "QuantizedHamiltonian":
+def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
     """Symmetric (Weyl) quantization of H(z) = (1/2) M z . z for n = 1.
 
-    Returns H_op = (1/2)(m11 X^2 + m12 (XP + PX) + m22 P^2); the cross term is
-    symmetrized so the matrix is Hermitian by construction.
+    Returns the dense N x N matrix of H_op = (1/2)(m11 X^2 + m12 (XP + PX) +
+    m22 P^2).  It is Hermitian bitwise: the last step replaces H by
+    (H + H^H) / 2, whose (k, j) entry sums the conjugates of the two terms of
+    its (j, k) entry in swapped order, and conjugation and halving are exact
+    in floating point.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
@@ -68,29 +68,7 @@ def quantize_quadratic(M, g: GridSpec) -> "QuantizedHamiltonian":
     H = 0.5 * (M[0, 0] * (X @ X) + M[1, 1] * (P @ P))
     if M[0, 1] != 0.0:
         H = H + 0.5 * M[0, 1] * (X @ P + P @ X)
-    H = 0.5 * (H + H.conj().T)
-    return QuantizedHamiltonian(matrix=H, M=M, grid=g)
-
-
-@dataclass(frozen=True)
-class QuantizedHamiltonian:
-    """Dense Hermitian matrix of the quantized quadratic Hamiltonian."""
-
-    matrix: np.ndarray
-    M: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        H = np.asarray(self.matrix, dtype=complex)
-        defect = float(np.max(np.abs(H - H.conj().T)))
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"quantized Hamiltonian not Hermitian: defect {defect:.3e}")
-        object.__setattr__(self, "matrix", H)
-
-    @property
-    def hermiticity_defect(self) -> float:
-        H = self.matrix
-        return float(np.max(np.abs(H - H.conj().T)))
+    return 0.5 * (H + H.conj().T)
 
 
 # Eigendecompositions are expensive (dense N x N); cache per (M, grid) under a
@@ -109,8 +87,7 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
         if got is not None:
             _eig_cache.move_to_end(key)
             return got
-        qh = quantize_quadratic(M, g)
-        evals, evecs = np.linalg.eigh(qh.matrix)
+        evals, evecs = np.linalg.eigh(quantize_quadratic(M, g))
         defect = float(np.max(np.abs(evecs.conj().T @ evecs - np.eye(g.N))))
         if defect > UNITARITY_TOL:
             raise np.linalg.LinAlgError(
@@ -127,33 +104,19 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
 class Propagator:
     """Unitary U_t = exp(-i t H_op / hbar) held in eigenfactor form.
 
-    ``apply`` costs two dense matrix-vector products; the full matrix is
-    materialized lazily on first access.  t = 0 is the exact identity, which
-    keeps zero-time deformation experiments bitwise trivial.
+    ``apply`` costs two dense matrix-vector products.  t = 0 is the exact
+    identity, which keeps zero-time deformation experiments bitwise trivial.
     """
 
-    def __init__(self, evals: np.ndarray, evecs: np.ndarray, t: float, M: np.ndarray,
-                 grid: GridSpec):
+    def __init__(self, evals: np.ndarray, evecs: np.ndarray, t: float, grid: GridSpec):
         self._evals = evals
         self._evecs = evecs
         self.t = float(t)
-        self.M = M
         self.grid = grid
-        self._matrix = None
 
     @property
     def phases(self) -> np.ndarray:
         return np.exp(-1j * self.t * self._evals / self.grid.hbar)
-
-    @property
-    def U(self) -> np.ndarray:
-        if self._matrix is None:
-            if self.t == 0.0:
-                self._matrix = np.eye(self.grid.N, dtype=complex)
-            else:
-                V = self._evecs
-                self._matrix = (V * self.phases) @ V.conj().T
-        return self._matrix
 
     def apply(self, psi: State) -> State:
         if self.t == 0.0:
@@ -162,11 +125,7 @@ class Propagator:
         return State(V @ (self.phases * (V.conj().T @ psi.values)))
 
     def inverse(self) -> "Propagator":
-        return Propagator(self._evals, self._evecs, -self.t, self.M, self.grid)
-
-    def unitarity_defect(self) -> float:
-        U = self.U
-        return float(np.max(np.abs(U.conj().T @ U - np.eye(self.grid.N))))
+        return Propagator(self._evals, self._evecs, -self.t, self.grid)
 
 
 def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
@@ -179,7 +138,7 @@ def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
     if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12:
         raise ValueError("M must be a symmetric 2x2 matrix")
     evals, evecs = _eig_factors(M, g)
-    return Propagator(evals, evecs, t, M, g)
+    return Propagator(evals, evecs, t, g)
 
 
 def _probe_states(g: GridSpec, rng: np.random.Generator) -> list[State]:
@@ -200,7 +159,7 @@ def covariance_defect(M, t: float, z, g: GridSpec) -> float:
     translated flow image on the grid in use.  Probes and therefore results
     are deterministic.
     """
-    zc = coords_of(z)
+    zc = np.asarray(z, dtype=float)
     qlim = (g.N / 4) * g.dx
     plim = (g.N / 4) * g.dp
     if abs(zc[0]) > qlim or abs(zc[1]) > plim:
@@ -223,7 +182,7 @@ def covariance_defect(M, t: float, z, g: GridSpec) -> float:
     return worst
 
 
-def gaussian_mobius(Gamma: complex, S) -> complex:
+def gaussian_mobius(Gamma: complex, S: SymplecticMatrix) -> complex:
     """Action of a 2x2 symplectic matrix on the Gaussian parameter.
 
     For S = [[a, b], [c, d]] the evolved parameter is (c + d*Gamma)/(a +
@@ -234,7 +193,7 @@ def gaussian_mobius(Gamma: complex, S) -> complex:
     Gamma = complex(Gamma)
     if not (Gamma.imag > 0.0):
         raise ValueError(f"requires Im(Gamma) > 0, got {Gamma!r}")
-    Smat = S.S if isinstance(S, SymplecticMatrix) else np.asarray(S, dtype=float)
+    Smat = S.S
     if Smat.shape != (2, 2):
         raise ValueError(f"S must be 2x2, got shape {Smat.shape}")
     a, b = Smat[0, 0], Smat[0, 1]

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import coords_of
-
 __all__ = [
     "GridSpec",
     "State",
@@ -81,7 +79,7 @@ class GridSpec:
         return 2.0 * math.pi * self.hbar * np.fft.fftfreq(self.N, d=self.dx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Complex N-vector of samples psi(x_k); entries must be finite."""
 
@@ -126,7 +124,7 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
     half-phase are applied pointwise.  A wrap-around warning is emitted for
     |q| >= L/2.
     """
-    zc = coords_of(z)
+    zc = np.asarray(z, dtype=float)
     if zc.size != 2:
         raise ValueError(f"heisenberg requires a 2-D phase point (n=1), got {zc.size} coords")
     return State(heisenberg_rows(zc.reshape(1, 2), psi, g)[0])

@@ -1,11 +1,11 @@
 """Linear symplectic geometry: the standard form, quadratic Hamiltonians and
 their matrix flows.
 
-Conventions used throughout the package: phase-space points are ordered
-z = (x_1..x_n, p_1..p_n), the standard form matrix is J = [[0, I], [-I, 0]],
-and the symplectic product is sigma(z, z') = (J z) . z'.  With these choices
-Hamilton's equations for H(z) = (1/2) M z . z read zdot = J M z and the flow
-is the matrix exponential exp(t J M).
+Conventions used throughout the package: phase-space points are plain float
+arrays ordered z = (x_1..x_n, p_1..p_n), the standard form matrix is
+J = [[0, I], [-I, 0]], and the symplectic product is sigma(z, z') = (J z) . z'.
+With these choices Hamilton's equations for H(z) = (1/2) M z . z read
+zdot = J M z and the flow is the matrix exponential exp(t J M).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from dataclasses import dataclass, field
 
 __all__ = [
-    "PhasePoint",
     "QuadraticHamiltonian",
     "SymplecticMatrix",
     "standard_J",
@@ -26,45 +25,6 @@ __all__ = [
 SYMPLECTIC_DEFECT_TOL = 1e-10
 DET_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
-
-
-def coords_of(z) -> np.ndarray:
-    """Coerce a PhasePoint or array-like into a 1-D float vector."""
-    if isinstance(z, PhasePoint):
-        return z.coords
-    return np.asarray(z, dtype=float)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point z = (x_1..x_n, p_1..p_n) of phase space R^{2n}."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coords, dtype=float, copy=True)
-        if c.ndim != 1 or c.size == 0 or c.size % 2 != 0:
-            raise ValueError(
-                "phase point needs an even, positive number of coordinates, "
-                f"got shape {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def n(self) -> int:
-        return self.coords.size // 2
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.coords[: self.n]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.coords[self.n :]
-
-    def __iter__(self):
-        return iter(self.coords)
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -79,14 +39,14 @@ def standard_J(n: int) -> np.ndarray:
 
 def symplectic_form(z, zp) -> float:
     """sigma(z, z') = (J z) . z'."""
-    z = coords_of(z)
-    zp = coords_of(zp)
+    z = np.asarray(z, dtype=float)
+    zp = np.asarray(zp, dtype=float)
     n = z.size // 2
     # (Jz) = (p, -x) in the (x, p) block ordering
     return float(np.dot(z[n:], zp[:n]) - np.dot(z[:n], zp[n:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """H(z) = (1/2) M z . z with M symmetric positive definite.
 
@@ -128,7 +88,7 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "max_eigenvalue", float(mu[-1]))
 
     def value(self, z) -> float:
-        z = coords_of(z)
+        z = np.asarray(z, dtype=float)
         return 0.5 * float(z @ self.M @ z)
 
     def values(self, pts: np.ndarray) -> np.ndarray:
@@ -136,51 +96,31 @@ class QuadraticHamiltonian:
         pts = np.asarray(pts, dtype=float)
         return 0.5 * np.einsum("ij,jk,ik->i", pts, self.M, pts)
 
-    def gradient(self, z) -> np.ndarray:
-        return self.M @ coords_of(z)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
     """A real 2n x 2n matrix S with S^T J S = J (and hence det S = 1).
 
-    Construction validates both properties.  ``SymplecticMatrix.trusted``
-    skips validation for matrices produced by code paths that guarantee
-    symplecticity; it exists for hot loops and is covered by tests.
+    Construction validates both properties and freezes a copy of S.
     """
 
     S: np.ndarray
-    validate: bool = True
 
     def __post_init__(self):
         S = np.array(self.S, dtype=float, copy=True)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
             raise ValueError(f"S must be 2n x 2n, got shape {S.shape}")
-        if self.validate:
-            defect = _symplectic_defect(S)
-            if defect > SYMPLECTIC_DEFECT_TOL:
-                raise ValueError(
-                    f"matrix is not symplectic: max|S^T J S - J| = {defect:.3e} "
-                    f"> {SYMPLECTIC_DEFECT_TOL}"
-                )
-            det = float(np.linalg.det(S))
-            if abs(det - 1.0) > DET_TOL:
-                raise ValueError(f"symplectic matrix must have det 1, got {det!r}")
+        defect = _symplectic_defect(S)
+        if defect > SYMPLECTIC_DEFECT_TOL:
+            raise ValueError(
+                f"matrix is not symplectic: max|S^T J S - J| = {defect:.3e} "
+                f"> {SYMPLECTIC_DEFECT_TOL}"
+            )
+        det = float(np.linalg.det(S))
+        if abs(det - 1.0) > DET_TOL:
+            raise ValueError(f"symplectic matrix must have det 1, got {det!r}")
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
-
-    @classmethod
-    def trusted(cls, S: np.ndarray) -> "SymplecticMatrix":
-        return cls(S, validate=False)
-
-    @property
-    def n(self) -> int:
-        return self.S.shape[0] // 2
-
-    def inverse(self) -> "SymplecticMatrix":
-        # S^{-1} = J^T S^T J for symplectic S; cheaper and exactly structured
-        J = standard_J(self.n)
-        return SymplecticMatrix.trusted(J.T @ self.S.T @ J)
 
 
 def _symplectic_defect(S: np.ndarray) -> float:

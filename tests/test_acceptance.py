@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaborflow.flow import BumpSpec, TruncatedHamiltonian, integrate_flow, verify_truncated_flow
+from gaborflow.flow import TruncatedHamiltonian, integrate_flow, verify_truncated_flow
 from gaborflow.frame import (
     GaborSystem,
     ellipsoid_deform,
@@ -148,7 +148,7 @@ def test_criterion_2_safe_thickening(z2_lattice, unit_circle):
 
 
 def test_criterion_3_truncated_flow(z2_lattice, unit_circle):
-    th = TruncatedHamiltonian(BumpSpec(unit_circle, 0.3))
+    th = TruncatedHamiltonian(unit_circle, 0.3)
     worst_moved = 0.0
     worst_fixed = 0.0
     for t in (math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2):
@@ -159,7 +159,7 @@ def test_criterion_3_truncated_flow(z2_lattice, unit_circle):
     for z in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
         out = integrate_flow(z, th, 2.0, 1e-3)
         worst_energy = max(
-            worst_energy, abs(unit_circle.value(out.coords) - unit_circle.E)
+            worst_energy, abs(unit_circle.value(out) - unit_circle.E)
         )
     ok = (
         worst_fixed == 0.0

@@ -247,6 +247,12 @@ class TestCliCommands:
         bad.write_text(json.dumps({"grid": {"bogus": 1}}))
         assert run_cli(["bounds", "--config", str(bad)]) == 2
 
+    # build_grid is a method of the config, not a section
+    @pytest.mark.parametrize("item", ["nosuch.k=1", "build_grid.x=1"])
+    def test_unknown_override_section_exits_2(self, item, capsys):
+        assert run_cli(["count", "--override", item]) == 2
+        assert "unknown config sections" in capsys.readouterr().err
+
     def test_invalid_value_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"ellipsoid": {"E": -1.0}}))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gaborflow import flow
 from gaborflow.cli import main
 from gaborflow.flow import (
-    BumpSpec,
     FlowStepError,
     NearSurfaceGradient,
     TruncatedHamiltonian,
@@ -33,71 +32,70 @@ STARTS = {
 
 
 @pytest.fixture
-def circle_bump(unit_circle):
-    return BumpSpec(unit_circle, 0.3)
-
-
-@pytest.fixture
-def circle_truncated(circle_bump):
-    return TruncatedHamiltonian(circle_bump)
+def circle_truncated(unit_circle):
+    return TruncatedHamiltonian(unit_circle, 0.3)
 
 
 class TestChi:
-    def test_enclosed_is_one(self, circle_bump):
-        assert chi([0.1, 0.0], circle_bump) == 1.0
-        assert chi([1.0, 0.0], circle_bump) == 1.0  # on the surface
+    def test_enclosed_is_one(self, circle_truncated):
+        assert chi([0.1, 0.0], circle_truncated) == 1.0
+        assert chi([1.0, 0.0], circle_truncated) == 1.0  # on the surface
 
-    def test_outside_support_is_zero(self, circle_bump):
-        assert chi([3.0, 0.0], circle_bump) == 0.0
-        assert chi([0.0, -1.31], circle_bump) == 0.0
+    def test_outside_support_is_zero(self, circle_truncated):
+        assert chi([3.0, 0.0], circle_truncated) == 0.0
+        assert chi([0.0, -1.31], circle_truncated) == 0.0
 
-    def test_midpoint_by_symmetry(self, circle_bump):
+    def test_midpoint_by_symmetry(self, circle_truncated):
         # s = 3 eps/4 sits at the symmetric center of the transition
-        assert chi([1.225, 0.0], circle_bump) == pytest.approx(0.5, abs=1e-12)
+        assert chi([1.225, 0.0], circle_truncated) == pytest.approx(0.5, abs=1e-12)
 
-    def test_monotone_in_radius(self, circle_bump):
+    def test_monotone_in_radius(self, circle_truncated):
         radii = np.linspace(1.0, 1.4, 81)
-        vals = [chi([r, 0.0], circle_bump) for r in radii]
+        vals = [chi([r, 0.0], circle_truncated) for r in radii]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     @given(angle=st.floats(0, 2 * math.pi), r1=st.floats(1.0, 1.5), r2=st.floats(1.0, 1.5))
     @settings(max_examples=20)
     def test_monotone_along_rays(self, angle, r1, r2):
-        bump = BumpSpec(Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.5), 0.3)
+        th = TruncatedHamiltonian(Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.5), 0.3)
         lo, hi = sorted([r1, r2])
         u = np.array([math.cos(angle), math.sin(angle)])
-        assert chi(lo * u, bump) >= chi(hi * u, bump)
+        assert chi(lo * u, th) >= chi(hi * u, th)
 
 
 class TestGradChi:
-    def test_zero_on_plateaus(self, circle_bump):
-        assert np.array_equal(grad_chi([0.3, 0.2], circle_bump), [0.0, 0.0])
-        assert np.array_equal(grad_chi([1.0, 1.0], circle_bump), [0.0, 0.0])
+    def test_zero_on_plateaus(self, circle_truncated):
+        assert np.array_equal(grad_chi([0.3, 0.2], circle_truncated), [0.0, 0.0])
+        assert np.array_equal(grad_chi([1.0, 1.0], circle_truncated), [0.0, 0.0])
 
-    def test_matches_finite_differences(self, circle_bump):
+    def test_matches_finite_differences(self, circle_truncated):
         rng = np.random.default_rng(5)
         step = 1e-6
         for _ in range(12):
             r = rng.uniform(1.16, 1.29)
             ang = rng.uniform(0, 2 * math.pi)
             z = r * np.array([math.cos(ang), math.sin(ang)])
-            analytic = grad_chi(z, circle_bump)
+            analytic = grad_chi(z, circle_truncated)
             fd = np.zeros(2)
             for i in range(2):
                 zp, zm = z.copy(), z.copy()
                 zp[i] += step
                 zm[i] -= step
-                fd[i] = (chi(zp, circle_bump) - chi(zm, circle_bump)) / (2 * step)
+                fd[i] = (chi(zp, circle_truncated) - chi(zm, circle_truncated)) / (2 * step)
             assert np.max(np.abs(analytic - fd)) <= 1e-5
 
-    def test_near_surface_flagged(self, circle_bump):
+    def test_near_surface_flagged(self, circle_truncated):
         z = [math.sqrt(1.0 + 1e-13), 0.0]  # H - E ~ 5e-14, outside branch
         with pytest.warns(NearSurfaceGradient):
-            out = grad_chi(z, circle_bump)
+            out = grad_chi(z, circle_truncated)
         assert np.array_equal(out, [0.0, 0.0])
 
 
 class TestTruncatedValue:
+    def test_rejects_nonpositive_eps(self, unit_circle):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            TruncatedHamiltonian(unit_circle, 0.0)
+
     def test_interior_value(self, circle_truncated):
         assert truncated_hamiltonian_value([0.1, 0.0], circle_truncated) == pytest.approx(
             0.005, abs=1e-15
@@ -108,7 +106,7 @@ class TestTruncatedValue:
 
     def test_mid_shell_cross_check(self, circle_truncated):
         z = [1.22, 0.05]
-        c = chi(z, circle_truncated.bump)
+        c = chi(z, circle_truncated)
         assert 0.0 < c < 1.0
         expect = circle_truncated.ell.H.value(z) * c
         assert truncated_hamiltonian_value(z, circle_truncated) == pytest.approx(expect)
@@ -118,19 +116,23 @@ class TestIntegrateFlow:
     def test_exterior_start_fixed_bitwise(self, circle_truncated):
         z0 = np.array([3.0, 3.0])
         out = integrate_flow(z0, circle_truncated, 1.0, 1e-3)
-        assert np.array_equal(out.coords, z0)
+        assert np.array_equal(out, z0)
 
     def test_interior_matches_rotation(self, circle_truncated):
         out = integrate_flow([0.5, 0.0], circle_truncated, math.pi / 2.0, 1e-3)
-        assert np.max(np.abs(out.coords - [0.0, -0.5])) <= 1e-6
+        assert np.max(np.abs(out - [0.0, -0.5])) <= 1e-6
 
     def test_surface_orbit_conserves_H(self, circle_truncated, unit_circle):
         out = integrate_flow([1.0, 0.0], circle_truncated, 2.0, 1e-3)
-        assert abs(unit_circle.value(out.coords) - unit_circle.E) <= 1e-6 * unit_circle.E
+        assert abs(unit_circle.value(out) - unit_circle.E) <= 1e-6 * unit_circle.E
+
+    def test_returns_a_float_array(self, circle_truncated):
+        out = integrate_flow([1, 0], circle_truncated, 0.01, 1e-3)
+        assert type(out) is np.ndarray and out.dtype == float and out.shape == (2,)
 
     def test_zero_time(self, circle_truncated):
         z0 = np.array([0.3, 0.4])
-        assert np.array_equal(integrate_flow(z0, circle_truncated, 0.0).coords, z0)
+        assert np.array_equal(integrate_flow(z0, circle_truncated, 0.0), z0)
 
     def test_step_underflow(self, circle_truncated):
         with pytest.raises(FlowStepError):
@@ -141,10 +143,10 @@ class TestIntegrateFlow:
         count = 0
         while count < 1000:
             z = rng.uniform(-4.0, 4.0, size=2)
-            if chi(z, circle_truncated.bump) != 0.0:
+            if chi(z, circle_truncated) != 0.0:
                 continue
             out = integrate_flow(z, circle_truncated, 0.5, 1e-2)
-            assert np.array_equal(out.coords, z)
+            assert np.array_equal(out, z)
             count += 1
 
     def test_energy_conservation_along_trajectories(self, circle_truncated):
@@ -152,22 +154,22 @@ class TestIntegrateFlow:
         for z0, t in [([0.4, 0.1], 2 * math.pi), ([1.02, 0.0], 2.0), ([1.225, 0.0], 1.0)]:
             h0 = truncated_hamiltonian_value(z0, circle_truncated)
             out = integrate_flow(z0, circle_truncated, t, 1e-3)
-            h1 = truncated_hamiltonian_value(out.coords, circle_truncated)
+            h1 = truncated_hamiltonian_value(out, circle_truncated)
             assert abs(h1 - h0) <= 1e-6 * (1.0 + abs(h0))
 
     def test_interior_linearity_full_period(self, circle_truncated, unit_circle):
         z0 = np.array([0.45, -0.2])
         out = integrate_flow(z0, circle_truncated, 2 * math.pi, 1e-3)
         ref = flow_matrix(unit_circle.H, 2 * math.pi).S @ z0
-        assert np.max(np.abs(out.coords - ref)) <= 1e-6
+        assert np.max(np.abs(out - ref)) <= 1e-6
 
     def test_anisotropic_interior_linearity(self):
         ell = Ellipsoid(QuadraticHamiltonian(np.diag([4.0, 1.0])), 0.5)
-        th = TruncatedHamiltonian(BumpSpec(ell, 0.2))
+        th = TruncatedHamiltonian(ell, 0.2)
         z0 = np.array([0.2, 0.3])
         out = integrate_flow(z0, th, 1.5, 1e-3)
         ref = flow_matrix(ell.H, 1.5).S @ z0
-        assert np.max(np.abs(out.coords - ref)) <= 1e-6
+        assert np.max(np.abs(out - ref)) <= 1e-6
 
 
 class TestVerifyTruncatedFlow:
@@ -184,7 +186,7 @@ class TestVerifyTruncatedFlow:
         assert rep.max_dev_fixed == 0.0
 
     def test_oversized_shell_rejected(self, z2_lattice, unit_circle):
-        th = TruncatedHamiltonian(BumpSpec(unit_circle, 0.42))
+        th = TruncatedHamiltonian(unit_circle, 0.42)
         with pytest.raises(ValueError, match="shell"):
             verify_truncated_flow(z2_lattice, th, 0.5)
         # the offending diagonal neighbours are named
@@ -225,16 +227,16 @@ class TestTrajectory:
     @pytest.mark.parametrize("kind", STARTS)
     def test_integrate_flow_is_last_row(self, circle_truncated, kind):
         _, pts, _ = flow_trajectory(STARTS[kind], circle_truncated, 0.05, 1e-3)
-        end = integrate_flow(STARTS[kind], circle_truncated, 0.05, 1e-3).coords
+        end = integrate_flow(STARTS[kind], circle_truncated, 0.05, 1e-3)
         assert np.array_equal(end, pts[-1])
 
     def test_one_classification_per_rk4_point(self, circle_truncated, monkeypatch):
         calls = []
         region = flow._region
 
-        def counting(zc, bump):
+        def counting(zc, th):
             calls.append(zc)
-            return region(zc, bump)
+            return region(zc, th)
 
         monkeypatch.setattr(flow, "_region", counting)
         k = 20

@@ -160,25 +160,25 @@ class TestDistanceToEllipsoid:
     def test_radial_point(self, unit_circle):
         d, proj = distance_to_ellipsoid([2.0, 0.0], unit_circle)
         assert d == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(proj.coords, [1.0, 0.0], atol=1e-9)
+        assert np.allclose(proj, [1.0, 0.0], atol=1e-9)
 
     def test_center_convention(self, unit_circle):
         d, proj = distance_to_ellipsoid([0.0, 0.0], unit_circle)
         assert d == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(proj.coords, [1.0, 0.0], atol=1e-12)
+        assert np.allclose(proj, [1.0, 0.0], atol=1e-12)
 
     def test_diagonal_point_against_sampling(self, unit_circle):
         d, proj = distance_to_ellipsoid([1.0, 1.0], unit_circle)
         oracle = surface_sampling_distance([1.0, 1.0], unit_circle)
         assert d == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-10)
         assert d == pytest.approx(oracle, abs=1e-9)
-        assert abs(unit_circle.value(proj.coords) - unit_circle.E) <= 1e-10 * unit_circle.E
+        assert abs(unit_circle.value(proj) - unit_circle.E) <= 1e-10 * unit_circle.E
 
     def test_anisotropic_against_sampling(self):
         ell = Ellipsoid(QuadraticHamiltonian(np.diag([4.0, 1.0])), 0.5)
         d, proj = distance_to_ellipsoid([1.0, 0.0], ell)
         assert d == pytest.approx(0.5, abs=1e-10)
-        assert np.allclose(proj.coords, [0.5, 0.0], atol=1e-9)
+        assert np.allclose(proj, [0.5, 0.0], atol=1e-9)
         oracle = surface_sampling_distance([1.0, 0.0], ell)
         assert d == pytest.approx(oracle, abs=1e-9)
 
@@ -189,16 +189,25 @@ class TestDistanceToEllipsoid:
         d, proj = distance_to_ellipsoid(z, ell)
         oracle = surface_sampling_distance(z, ell)
         assert d == pytest.approx(oracle, abs=1e-8)
-        assert abs(ell.value(proj.coords) - ell.E) <= 1e-10 * ell.E
+        assert abs(ell.value(proj) - ell.E) <= 1e-10 * ell.E
 
     def test_zero_distance_iff_on_surface(self, unit_circle):
         d_on, proj_on = distance_to_ellipsoid([1.0, 0.0], unit_circle)
         assert d_on == 0.0
-        assert np.array_equal(proj_on.coords, [1.0, 0.0])
+        assert np.array_equal(proj_on, [1.0, 0.0])
         # just off the 1e-10 relative band: strictly positive distance
         z = [1.0 + 1e-9, 0.0]
         d_off, _ = distance_to_ellipsoid(z, unit_circle)
         assert d_off > 0.0
+
+    def test_projection_is_a_new_float_array(self):
+        ell = Ellipsoid(QuadraticHamiltonian([[2.0, 0.3], [0.3, 0.7]]), 0.5)
+        # exterior, interior, the center (pole case) and a surface point
+        for z in ([2.0, 1.0], [0.1, 0.2], [0.0, 0.0], [1.0 / math.sqrt(2.0), 0.0]):
+            z = np.array(z)
+            _, proj = distance_to_ellipsoid(z, ell)
+            assert type(proj) is np.ndarray and proj.dtype == float and proj.shape == (2,)
+            assert not np.shares_memory(proj, z)
 
     def test_reads_the_stored_eigenbasis(self, monkeypatch):
         ell = Ellipsoid(QuadraticHamiltonian([[2.0, 0.3], [0.3, 0.7]]), 0.5)
@@ -239,7 +248,7 @@ class TestDistanceToEllipsoid:
             rz = math.hypot(*z)
             d, proj = distance_to_ellipsoid(z, unit_circle)
             assert abs(d - abs(rz - 1.0)) <= 1e-14 * (1.0 + rz)
-            assert np.max(np.abs(proj.coords - z / rz)) <= 1e-14 * (1.0 + rz)
+            assert np.max(np.abs(proj - z / rz)) <= 1e-14 * (1.0 + rz)
 
     def test_anisotropic_ellipse_optimality(self):
         # sharp checks: the projection is on the surface, z - proj is normal
@@ -249,9 +258,8 @@ class TestDistanceToEllipsoid:
         rng = np.random.default_rng(29)
         for z in rng.uniform(-4.0, 4.0, size=(16, 2)):
             scale = 1.0 + float(np.linalg.norm(z))
-            d, proj = distance_to_ellipsoid(z, ell)
-            w = proj.coords
-            normal = ell.H.gradient(w)
+            d, w = distance_to_ellipsoid(z, ell)
+            normal = ell.H.M @ w
             assert abs(ell.value(w) - ell.E) <= 1e-14 * ell.E
             assert abs(d - np.linalg.norm(z - w)) <= 1e-14 * scale
             cross = (z - w)[0] * normal[1] - (z - w)[1] * normal[0]
@@ -291,10 +299,10 @@ class TestDistanceToEllipsoid:
             d, proj = distance_to_ellipsoid(z, ell)
             scale = 1.0 + float(np.linalg.norm(z))
             assert abs(d - expect) <= 1e-14 * scale, (y, d, expect)
-            assert abs(ell.value(proj.coords) - ell.E) <= 1e-14 * ell.E
+            assert abs(ell.value(proj) - ell.E) <= 1e-14 * ell.E
         # the center projects onto an end of the short axis
         _, proj = distance_to_ellipsoid([0.0, 0.0], ell)
-        assert np.max(np.abs(np.abs(R.T @ proj.coords) - [0.5, 0.0])) <= 1e-14
+        assert np.max(np.abs(np.abs(R.T @ proj) - [0.5, 0.0])) <= 1e-14
 
 
 class TestSecularRoot:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborflow.symplectic import (
-    PhasePoint,
     QuadraticHamiltonian,
     SymplecticMatrix,
     flow_matrix,
@@ -56,20 +55,6 @@ class TestStandardJ:
             standard_J(0)
 
 
-class TestPhasePoint:
-    def test_views(self):
-        z = PhasePoint([1.0, 2.0, 3.0, 4.0])
-        assert z.n == 2
-        assert np.array_equal(z.x, [1.0, 2.0])
-        assert np.array_equal(z.p, [3.0, 4.0])
-
-    def test_rejects_odd_or_empty(self):
-        with pytest.raises(ValueError):
-            PhasePoint([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            PhasePoint([])
-
-
 class TestQuadraticHamiltonian:
     def test_exposes_extreme_eigenvalues(self):
         H = QuadraticHamiltonian(np.diag([4.0, 1.0]))
@@ -103,17 +88,17 @@ class TestSymplecticMatrix:
         with pytest.raises(ValueError, match="not symplectic"):
             SymplecticMatrix(np.diag([2.0, 2.0]))
 
-    def test_trusted_bypass(self):
-        # the trusted constructor skips checks; it must still freeze the data
-        S = SymplecticMatrix.trusted(np.diag([2.0, 2.0]))
+    def test_freezes_a_copy(self):
+        raw = np.array([[2.0, 1.0], [1.0, 1.0]])
+        S = SymplecticMatrix(raw)
+        raw[0, 0] = 3.0
         assert S.S[0, 0] == 2.0
         with pytest.raises(ValueError):
             S.S[0, 0] = 3.0
 
-    def test_inverse(self):
-        H = QuadraticHamiltonian(np.diag([4.0, 1.0]))
-        S = flow_matrix(H, 0.7)
-        assert np.allclose(S.inverse().S @ S.S, np.eye(2), atol=1e-12)
+    def test_has_no_validation_bypass(self):
+        with pytest.raises(TypeError):
+            SymplecticMatrix(np.diag([2.0, 2.0]), validate=False)
 
 
 class TestIsSymplectic:
