@@ -27,7 +27,7 @@ from .lattice import (
     move_points,
 )
 from .metaplectic import metaplectic_lift
-from .quantum import GridSpec, State, heisenberg, heisenberg_rows, inner, norm
+from .quantum import GridSpec, State, heisenberg, heisenberg_rows, norm
 from .symplectic import QuadraticHamiltonian, flow_matrix
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "FrameBounds",
     "DeformationReport",
     "analysis_matrix",
-    "analysis_coefficients",
     "frame_operator",
     "frame_bounds",
     "full_phase_space_points",
@@ -114,13 +113,6 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
         raise ValueError("analysis matrix of an empty point set")
     T = heisenberg_rows(sys.points.points, sys.window, sys.grid)
     return np.conj(T) * np.sqrt(sys.grid.dx)
-
-
-def analysis_coefficients(sys: GaborSystem, psi: State) -> np.ndarray:
-    """The pairings (psi | T(z_j) window) in the dx-weighted inner product."""
-    g = sys.grid
-    return np.array([inner(psi, heisenberg(row, sys.window, g), g)
-                     for row in sys.points.points])
 
 
 def frame_operator(sys: GaborSystem) -> np.ndarray:

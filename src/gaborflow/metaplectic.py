@@ -23,7 +23,6 @@ from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
     "Propagator",
-    "position_operator",
     "momentum_operator",
     "quantize_quadratic",
     "metaplectic_lift",
@@ -38,11 +37,6 @@ _PROBE_COUNT = 8
 _PROBE_SPREAD = 0.4
 
 
-def position_operator(g: GridSpec) -> np.ndarray:
-    """Multiplication by the grid coordinate (dense diagonal)."""
-    return np.diag(g.xs().astype(complex))
-
-
 def momentum_operator(g: GridSpec) -> np.ndarray:
     """FFT-conjugated multiplication by the signed discrete momenta."""
     eye = np.eye(g.N, dtype=complex)
@@ -53,7 +47,9 @@ def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
     """Symmetric (Weyl) quantization of H(z) = (1/2) M z . z for n = 1.
 
     Returns the dense N x N matrix of H_op = (1/2)(m11 X^2 + m12 (XP + PX) +
-    m22 P^2).  It is Hermitian bitwise: the last step replaces H by
+    m22 P^2).  X is the diagonal of the grid coordinates x, so X^2 is the
+    diagonal of x^2 and XP, PX scale P's rows and columns by x; P^2 is the
+    only matrix product.  It is Hermitian bitwise: the last step replaces H by
     (H + H^H) / 2, whose (k, j) entry sums the conjugates of the two terms of
     its (j, k) entry in swapped order, and conjugation and halving are exact
     in floating point.
@@ -63,11 +59,11 @@ def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
         raise ValueError(f"M must be 2x2, got shape {M.shape}")
     if abs(M[0, 1] - M[1, 0]) > 1e-12:
         raise ValueError("M must be symmetric")
-    X = position_operator(g)
+    x = g.xs()
     P = momentum_operator(g)
-    H = 0.5 * (M[0, 0] * (X @ X) + M[1, 1] * (P @ P))
+    H = 0.5 * (M[0, 0] * np.diag(x * x) + M[1, 1] * (P @ P))
     if M[0, 1] != 0.0:
-        H = H + 0.5 * M[0, 1] * (X @ P + P @ X)
+        H = H + 0.5 * M[0, 1] * (x[:, None] * P + P * x)
     return 0.5 * (H + H.conj().T)
 
 
@@ -88,7 +84,9 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
             _eig_cache.move_to_end(key)
             return got
         evals, evecs = np.linalg.eigh(quantize_quadratic(M, g))
-        defect = float(np.max(np.abs(evecs.conj().T @ evecs - np.eye(g.N))))
+        gram = evecs.conj().T @ evecs
+        gram[np.diag_indices(g.N)] -= 1.0
+        defect = float(np.max(np.abs(gram)))
         if defect > UNITARITY_TOL:
             raise np.linalg.LinAlgError(
                 f"eigenbasis not unitary within {UNITARITY_TOL}: defect {defect:.3e}"
@@ -104,7 +102,8 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
 class Propagator:
     """Unitary U_t = exp(-i t H_op / hbar) held in eigenfactor form.
 
-    ``apply`` costs two dense matrix-vector products.  t = 0 is the exact
+    ``apply`` costs two dense matrix-vector products and copies no matrix:
+    V^H psi is formed as conj(conj(psi) V).  t = 0 is the exact
     identity, which keeps zero-time deformation experiments bitwise trivial.
     """
 
@@ -122,7 +121,7 @@ class Propagator:
         if self.t == 0.0:
             return State(psi.values)
         V = self._evecs
-        return State(V @ (self.phases * (V.conj().T @ psi.values)))
+        return State(V @ (self.phases * (psi.values.conj() @ V).conj()))
 
     def inverse(self) -> "Propagator":
         return Propagator(self._evals, self._evecs, -self.t, self.grid)

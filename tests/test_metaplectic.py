@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gaborflow import metaplectic
 from gaborflow.metaplectic import (
     covariance_defect,
     gaussian_mobius,
     metaplectic_lift,
     momentum_operator,
-    position_operator,
     quantize_quadratic,
 )
 from gaborflow.quantum import GridSpec, State, gaussian_window, inner
@@ -28,6 +29,17 @@ def phase_aligned_distance(a, b, g):
     """||a - e^{i theta} b|| minimized over the global phase, unit vectors."""
     ip = inner(b, a, g)
     return math.sqrt(max(0.0, 2.0 - 2.0 * abs(ip)))
+
+
+def dense_operator_quantization(M, g):
+    """The Weyl quantization with X held as a dense diagonal matrix: the
+    four-product formula that ``quantize_quadratic`` must reproduce bitwise."""
+    X = np.diag(g.xs()).astype(complex)
+    P = momentum_operator(g)
+    H = 0.5 * (M[0, 0] * (X @ X) + M[1, 1] * (P @ P))
+    if M[0, 1] != 0.0:
+        H = H + 0.5 * M[0, 1] * (X @ P + P @ X)
+    return 0.5 * (H + H.conj().T)
 
 
 def dense(U, g):
@@ -60,9 +72,19 @@ class TestQuantizeQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             quantize_quadratic(np.array([[1.0, 0.1], [0.0, 1.0]]), SMALL)
 
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize(
+        "M",
+        [np.eye(2), np.diag([16.0, 1.0]), np.diag([0.0, 1.0]), np.array([[1.0, 0.7], [0.7, 2.0]])],
+        ids=["round", "squeezed", "free", "coupled"],
+    )
+    def test_equals_dense_operator_formula_bitwise(self, M, N):
+        g = GridSpec.centered(N=N, L=8.0)
+        assert np.array_equal(quantize_quadratic(M, g), dense_operator_quantization(M, g))
+
     def test_canonical_commutator(self):
         # [X, P] = i hbar on concentrated states
-        X = position_operator(SMALL)
+        X = np.diag(SMALL.xs()).astype(complex)
         P = momentum_operator(SMALL)
         C = X @ P - P @ X
         phi = gaussian_window(1j, SMALL).values
@@ -92,6 +114,31 @@ class TestMetaplecticLift:
         U = dense(metaplectic_lift(np.array([[1.0, 0.5], [0.5, 2.0]]), 0.9, SMALL), SMALL)
         assert np.max(np.abs(U.conj().T @ U - np.eye(SMALL.N))) <= 1e-9
 
+    def test_apply_equals_eigenfactor_formula_and_copies_no_matrix(self):
+        g = GridSpec.centered(N=512, L=16.0)
+        M = np.array([[1.0, 0.3], [0.3, 2.0]])
+        U = metaplectic_lift(M, 0.45, g)
+        _, V = metaplectic._eig_factors(M, g)
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=g.N) + 1j * rng.normal(size=g.N)
+        ref = V @ (U.phases * (V.conj().T @ psi))
+        assert np.array_equal(U.apply(State(psi)).values, ref)
+        tracemalloc.start()
+        try:
+            U.apply(State(psi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * g.N**2
+
+    def test_cache_key_cannot_alias_shapes(self):
+        # the key is M's bytes alone, so the flat array shares a 2x2 M's key
+        g = GridSpec.centered(N=32, L=8.0)
+        M = np.array([[1.0, 0.3], [0.3, 2.0]])
+        metaplectic_lift(M, 0.2, g)
+        with pytest.raises(ValueError, match="2x2"):
+            metaplectic_lift(M.ravel(), 0.2, g)
+
     def test_inverse_is_reverse_time(self):
         U = metaplectic_lift(np.eye(2), 0.6, SMALL)
         phi = gaussian_window(1j, SMALL)
@@ -117,8 +164,6 @@ class TestMetaplecticLift:
 
     def test_cache_evicts_least_recently_used_within_budget(self, monkeypatch):
         from collections import OrderedDict
-
-        from gaborflow import metaplectic
 
         g = GridSpec.centered(N=32, L=8.0)
         factor = 16 * g.N**2 + 8 * g.N
