@@ -106,7 +106,8 @@ def cmd_flow(args) -> int:
     n = pts.shape[1] // 2
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
               + ["H_eps"])
-    rows = [(t, *z, h) for t, z, h in zip(times, pts, hvals)]
+    # Python floats format faster than numpy scalars, to the same text
+    rows = [(t, *z, h) for t, z, h in zip(times.tolist(), pts.tolist(), hvals.tolist())]
     out = _outdir(args) / "flow.csv"
     _write_csv(out, header, rows, not args.no_timestamp)
     print(f"wrote {times.size} trajectory rows to {out}")

@@ -24,7 +24,7 @@ from .lattice import (
     distance_to_ellipsoid,
     off_surface_distances,
 )
-from .symplectic import flow_matrix
+from .symplectic import _dot, flow_matrix
 
 __all__ = [
     "TruncatedHamiltonian",
@@ -99,7 +99,12 @@ def _h_prime(u: float) -> float:
 _PLATEAU, _SHELL, _OUTSIDE = 0, 1, 2
 
 
-def _distance_bounds(zc: np.ndarray, ell: Ellipsoid, Hval: float) -> tuple[float, float]:
+def _floats(z) -> list:
+    """A point as a list of Python floats, the form the per-point kernel uses."""
+    return np.asarray(z, dtype=float).tolist()
+
+
+def _distance_bounds(z: list, ell: Ellipsoid, Hval: float) -> tuple[float, float]:
     """Certified (lower, upper) bounds on the surface distance for H(z) > E.
 
     Upper: descending along the gradient reaches the surface within
@@ -108,35 +113,38 @@ def _distance_bounds(zc: np.ndarray, ell: Ellipsoid, Hval: float) -> tuple[float
     """
     delta = Hval - ell.E
     d_hi = delta / ell.gradient_floor
-    r = float(np.linalg.norm(zc))
+    r = math.sqrt(_dot(z, z))
     reach = max(r, ell.outer_radius)
     d_lo = max(r - ell.outer_radius, delta / (ell.H.max_eigenvalue * reach))
     return d_lo, d_hi
 
 
-def _region(zc: np.ndarray, th: TruncatedHamiltonian):
-    """Classify z against the cutoff plateaus: (region, s, projection, H(z)).
+def _region(z: list, th: TruncatedHamiltonian):
+    """Classify z, a list of 2n floats, against the cutoff plateaus:
+    (region, s, projection, grad H(z), H(z)).
 
     The cheap distance bounds certify most plateau/outside calls without the
     Lagrange projection, which matters inside RK4 stage evaluations; the
-    projection is only available (non-None) when the exact solve ran.
+    projection, a list of floats, is only available (non-None) when the exact
+    solve ran.
     """
     ell = th.ell
-    Hval = ell.H.value(zc)
+    grad, Hval = ell.H.gradient_and_value(z)
     if Hval <= ell.E:
-        return _PLATEAU, 0.0, None, Hval
+        return _PLATEAU, 0.0, None, grad, Hval
     half = th.eps / 2.0
-    d_lo, d_hi = _distance_bounds(zc, ell, Hval)
+    d_lo, d_hi = _distance_bounds(z, ell, Hval)
     if d_hi <= half:
-        return _PLATEAU, d_hi, None, Hval
+        return _PLATEAU, d_hi, None, grad, Hval
     if d_lo >= th.eps:
-        return _OUTSIDE, d_lo, None, Hval
-    d, proj = distance_to_ellipsoid(zc, ell)
+        return _OUTSIDE, d_lo, None, grad, Hval
+    d, proj = distance_to_ellipsoid(z, ell)
+    proj = proj.tolist()
     if d <= half:
-        return _PLATEAU, d, proj, Hval
+        return _PLATEAU, d, proj, grad, Hval
     if d >= th.eps:
-        return _OUTSIDE, d, proj, Hval
-    return _SHELL, d, proj, Hval
+        return _OUTSIDE, d, proj, grad, Hval
+    return _SHELL, d, proj, grad, Hval
 
 
 def chi(z, th: TruncatedHamiltonian) -> float:
@@ -146,7 +154,7 @@ def chi(z, th: TruncatedHamiltonian) -> float:
     s >= eps, and the smooth monotone transition h((s - eps/2)/(eps/2)) in
     between, where h(u) = g(1-u)/(g(u)+g(1-u)) and g(u) = exp(-1/u) for u > 0.
     """
-    region, s, _, _ = _region(np.asarray(z, dtype=float), th)
+    region, s, *_ = _region(_floats(z), th)
     if region == _PLATEAU:
         return 1.0
     if region == _OUTSIDE:
@@ -163,27 +171,29 @@ def grad_chi(z, th: TruncatedHamiltonian) -> np.ndarray:
     the shell coordinate is only one-sidedly smooth) are evaluated on the
     inside branch (zero) with a NearSurfaceGradient warning.
     """
-    zc = np.asarray(z, dtype=float)
+    z = _floats(z)
+    zero = np.zeros(len(z))
     ell = th.ell
-    Hval = ell.H.value(zc)
+    Hval = ell.H.gradient_and_value(z)[1]
     if Hval <= ell.E:
-        return np.zeros_like(zc)
-    _, d_hi = _distance_bounds(zc, ell, Hval)
+        return zero
+    _, d_hi = _distance_bounds(z, ell, Hval)
     if d_hi <= 1e-12:
         warnings.warn(
             "grad_chi requested within 1e-12 of the surface; returning the inside branch",
             NearSurfaceGradient,
             stacklevel=2,
         )
-        return np.zeros_like(zc)
-    region, d, proj, _ = _region(zc, th)
+        return zero
+    region, d, proj, _, _ = _region(z, th)
     if region != _SHELL:
-        return np.zeros_like(zc)
+        return zero
     half = th.eps / 2.0
     hp = _h_prime((d - half) / half)
     if hp == 0.0:
-        return np.zeros_like(zc)
-    return hp * (2.0 / th.eps) * (zc - proj) / d
+        return zero
+    a = hp * (2.0 / th.eps)
+    return np.array([a * (zi - pi) / d for zi, pi in zip(z, proj)])
 
 
 def truncated_hamiltonian_value(z, th: TruncatedHamiltonian) -> float:
@@ -191,29 +201,37 @@ def truncated_hamiltonian_value(z, th: TruncatedHamiltonian) -> float:
     return hamiltonian_field(z, th)[1]
 
 
-def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[np.ndarray, float]:
+def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[list, float]:
     """Hamiltonian vector field J grad(H * chi) and the value H * chi at z.
 
     One classification of z gives both.  The field is exactly zero outside
     the support and exactly J M z on the plateau where the cutoff is
     identically 1.  J acts as the block swap (x, p) -> (p, -x).
+
+    This is the per-point kernel of the flow, on plain floats: numpy's
+    per-call overhead on one point of a few coordinates costs far more than
+    the arithmetic.  A list of 2n floats is used as it is, any other
+    sequence is converted first, and the field comes back as a list of 2n
+    floats.
     """
-    zc = np.asarray(z, dtype=float)
-    region, d, proj, Hval = _region(zc, th)
+    if type(z) is not list:
+        z = _floats(z)
+    region, d, proj, grad, Hval = _region(z, th)
     if region == _OUTSIDE:
-        return np.zeros(zc.size), 0.0
-    grad = th.ell.H.M @ zc
+        return [0.0] * len(z), 0.0
     if region == _SHELL:
         half = th.eps / 2.0
         u = (d - half) / half
         c = _h(u)
-        grad = c * grad
         hp = _h_prime(u)
         if hp != 0.0:
-            grad = grad + Hval * hp * (2.0 / th.eps) * (zc - proj) / d
+            a = Hval * hp * (2.0 / th.eps)
+            grad = [c * g + a * (zi - pi) / d for g, zi, pi in zip(grad, z, proj)]
+        else:
+            grad = [c * g for g in grad]
         Hval = Hval * c
-    n = zc.size // 2
-    return np.concatenate((grad[n:], -grad[:n])), Hval
+    n = len(grad) // 2
+    return grad[n:] + [-g for g in grad[:n]], Hval
 
 
 def _step_plan(t: float, dt_max: float):
@@ -246,23 +264,25 @@ def flow_trajectory(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3
     support): the remaining rows repeat it bitwise instead of accumulating
     arithmetic.
     """
-    z = np.asarray(z0, dtype=float)
+    z = _floats(z0)
     steps, dt = _step_plan(t, dt_max) if t != 0.0 else (0, 0.0)
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     k1, hval = hamiltonian_field(z, th)
     pts, hvals = [z], [hval]
     for _ in range(steps):
-        if not np.any(k1):
+        if not any(k1):
             break
-        k2, _ = hamiltonian_field(z + 0.5 * dt * k1, th)
-        k3, _ = hamiltonian_field(z + 0.5 * dt * k2, th)
-        k4, _ = hamiltonian_field(z + dt * k3, th)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2, _ = hamiltonian_field([a + half_dt * b for a, b in zip(z, k1)], th)
+        k3, _ = hamiltonian_field([a + half_dt * b for a, b in zip(z, k2)], th)
+        k4, _ = hamiltonian_field([a + dt * b for a, b in zip(z, k3)], th)
+        z = [a + sixth_dt * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
         k1, hval = hamiltonian_field(z, th)
         pts.append(z)
         hvals.append(hval)
     frozen = steps + 1 - len(pts)
     times = np.concatenate(([0.0], np.arange(1, steps + 1) * dt))
-    pts = np.concatenate((pts, np.broadcast_to(z, (frozen, z.size))))
+    pts = np.concatenate((pts, np.broadcast_to(z, (frozen, len(z)))))
     return times, pts, np.concatenate((hvals, np.full(frozen, hval)))
 
 

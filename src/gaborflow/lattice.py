@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .symplectic import QuadraticHamiltonian, flow_matrix
+from .symplectic import QuadraticHamiltonian, _dot, flow_matrix
 
 __all__ = [
     "Box",
@@ -154,7 +155,9 @@ class Ellipsoid:
     """Level set {z : H(z) = E} of a positive definite quadratic Hamiltonian.
 
     E > 0 and positive definiteness make the surface compact; it bounds the
-    compact region {H <= E}.
+    compact region {H <= E}.  The radii, the gradient floor and the
+    eigenbasis as Python floats are computed once per ellipsoid, on first
+    use.
     """
 
     H: QuadraticHamiltonian
@@ -171,20 +174,31 @@ class Ellipsoid:
     def value(self, z) -> float:
         return self.H.value(z)
 
-    @property
+    @cached_property
     def inner_radius(self) -> float:
         """Smallest semi-axis sqrt(2E / mu_max)."""
         return math.sqrt(2.0 * self.E / self.H.max_eigenvalue)
 
-    @property
+    @cached_property
     def outer_radius(self) -> float:
         """Largest semi-axis sqrt(2E / mu_min)."""
         return math.sqrt(2.0 * self.E / self.H.min_eigenvalue)
 
-    @property
+    @cached_property
     def gradient_floor(self) -> float:
         """Lower bound on |grad H| anywhere on or outside the surface."""
         return self.H.min_eigenvalue * self.inner_radius
+
+    @cached_property
+    def _eigenbasis(self) -> tuple:
+        """(mu, r, c, rows of Q, columns of Q) as lists of floats, with
+        r = mu / mu_max and c = 1 - r: the projection's per-ellipsoid data."""
+        mu = self.H.eigenvalues.tolist()
+        r = [m / mu[-1] for m in mu]
+        # exact for r >= 1/2, zero on the top eigenspace
+        c = [1.0 - ri for ri in r]
+        Q = self.H.eigenvectors
+        return mu, r, c, Q.tolist(), Q.T.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,22 +269,6 @@ def classify_points(
     return PointClasses(interior=interior, boundary=boundary, exterior=exterior)
 
 
-def _pole_point(mu, y, c, E):
-    """Nearest point with the multiplier at the pole lam = -1/mu_max.
-
-    This is the minimizer when z has no component in the top eigenspace of M
-    and the other coordinates, held at w = y / (1 - mu/mu_max), leave energy
-    to spare: the center and interior points on the long axes.  The spare
-    energy goes into the first top eigenvector.
-    """
-    top = c == 0.0
-    w = np.zeros_like(y)
-    w[~top] = y[~top] / c[~top]
-    spare = 2.0 * E - float(mu @ w**2)
-    w[np.argmax(top)] = math.sqrt(max(spare, 0.0) / mu[-1])
-    return w
-
-
 def _secular_root(psi, lo, hi):
     """Root of an increasing concave psi on [lo, hi] with psi(lo) <= 0 <= psi(hi).
 
@@ -335,6 +333,10 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     exactly 0 with a copy of z as the projection.  The projection is always a
     new float array, never the caller's.
 
+    The solve runs on Python floats, with the eigenbasis read once per
+    ellipsoid: on one point of a few coordinates, numpy's per-call overhead
+    would cost several times the arithmetic.
+
     Raises
     ------
     ProjectionError
@@ -342,57 +344,78 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
         message reports the scanned bracket rather than returning a wrong
         point.
     """
-    zc = np.asarray(z, dtype=float)
-    if zc.size != 2 * ell.dim:
-        raise ValueError(f"dimension mismatch: point has {zc.size} coords, ellipsoid n={ell.dim}")
+    zs = np.asarray(z, dtype=float).tolist()
+    if len(zs) != 2 * ell.dim:
+        raise ValueError(f"dimension mismatch: point has {len(zs)} coords, ellipsoid n={ell.dim}")
     E = ell.E
-    Hz = ell.H.value(zc)
+    Hz = ell.H.gradient_and_value(zs)[1]
     if not math.isfinite(Hz):
-        raise ValueError(f"point must be finite with finite H, got {zc.tolist()}")
+        raise ValueError(f"point must be finite with finite H, got {zs}")
     if abs(Hz - E) <= ON_SURFACE_REL_TOL * E:
-        return 0.0, zc.copy()
+        return 0.0, np.array(zs)
 
-    mu, Q = ell.H.eigenvalues, ell.H.eigenvectors
-    y = Q.T @ zc
-    r = mu / mu[-1]
-    c = 1.0 - r  # exact for r >= 1/2, zero on the top eigenspace
+    mu, r, c, Q, Qt = ell._eigenbasis
+    y = [_dot(col, zs) for col in Qt]
     # coordinates that are zero or negligible have w = 0 and drop out of the
     # secular equation
-    nz = np.abs(y) > _NEGLIGIBLE * (1.0 + float(np.linalg.norm(zc)))
-    mu_n, r_n, c_n, y_n = mu[nz], r[nz], c[nz], y[nz]
+    floor = _NEGLIGIBLE * (1.0 + math.sqrt(_dot(zs, zs)))
+    nz = [i for i, yi in enumerate(y) if abs(yi) > floor]
+    terms = [(mu[i], r[i], c[i], y[i]) for i in nz]
 
     def psi(s):
-        den = c_n + s * r_n
-        w2 = (y_n / den) ** 2
-        q = 0.5 * float(mu_n @ w2) / E
-        slope = float(mu_n @ (r_n * w2 / den)) / (2.0 * E * q**1.5)
-        return 1.0 / math.sqrt(q) - 1.0, slope
+        q = slope = 0.0
+        for m, ri, ci, yi in terms:
+            den = ci + s * ri
+            wi = yi / den
+            w2 = wi * wi
+            q += m * w2
+            slope += m * (ri * w2 / den)
+        q = 0.5 * q / E
+        return 1.0 / math.sqrt(q) - 1.0, slope / (2.0 * E * q**1.5)
 
     if Hz > E:
         # s*r_i <= (1 - r_i) + s*r_i <= s for s >= 1 bounds H(w(s)) both ways
         lo = max(1.0, math.sqrt(Hz / E))
-        hi = max(lo, mu[-1] * math.sqrt(float(y**2 @ (1.0 / mu)) / (2.0 * E)))
+        spread = _dot([yi * yi for yi in y], [1.0 / m for m in mu])
+        hi = max(lo, mu[-1] * math.sqrt(spread / (2.0 * E)))
     else:
         hi = 1.0
-        top = c_n == 0.0
-        if np.any(top):
+        top = [yi for _, _, ci, yi in terms if ci == 0.0]
+        if top:
             # the top-eigenspace terms alone reach E at this s
-            lo = min(hi, math.hypot(*y_n[top]) * math.sqrt(mu[-1] / (2.0 * E)))
-        elif 0.5 * float(mu_n @ (y_n / c_n) ** 2) > E:
-            lo = 0.0
+            lo = min(hi, math.hypot(*top) * math.sqrt(mu[-1] / (2.0 * E)))
         else:
-            w = _pole_point(mu, y * nz, c, E)
-            return float(np.linalg.norm(y - w)), Q @ w
+            # no component in the top eigenspace: w = y / (1 - mu/mu_max) off
+            # it.  If that leaves energy to spare (the center, interior points
+            # on the long axes), the multiplier sits at the pole
+            # lam = -1/mu_max and the spare energy goes into the first top
+            # eigenvector
+            w = [0.0] * len(y)
+            for i, (_, _, ci, yi) in zip(nz, terms):
+                w[i] = yi / ci
+            held = _dot(mu, [wi * wi for wi in w])
+            if 0.5 * held > E:
+                lo = 0.0
+            else:
+                w[c.index(0.0)] = math.sqrt(max(2.0 * E - held, 0.0) / mu[-1])
+                return _distance_and_point(y, w, Q)
 
     s = _secular_root(psi, lo, hi)
-    w = np.zeros_like(y)
-    w[nz] = y_n / (c_n + s * r_n)
-    if not abs(0.5 * float(mu @ w**2) - E) <= ON_SURFACE_REL_TOL * E:
+    w = [0.0] * len(y)
+    for i, (_, ri, ci, yi) in zip(nz, terms):
+        w[i] = yi / (ci + s * ri)
+    if not abs(0.5 * _dot(mu, [wi * wi for wi in w]) - E) <= ON_SURFACE_REL_TOL * E:
         raise ProjectionError(
-            f"no admissible projection found for z={zc.tolist()}: scanned the "
+            f"no admissible projection found for z={zs}: scanned the "
             f"multiplier bracket s = 1 + lam*mu_max in [{lo:.6e}, {hi:.6e}]"
         )
-    return float(np.linalg.norm(y - w)), Q @ w
+    return _distance_and_point(y, w, Q)
+
+
+def _distance_and_point(y, w, Q) -> tuple[float, np.ndarray]:
+    """|y - w| and the surface point Q w, for w given in the eigenbasis."""
+    diff = [yi - wi for yi, wi in zip(y, w)]
+    return math.sqrt(_dot(diff, diff)), np.array([_dot(row, w) for row in Q])
 
 
 def off_surface_distances(

@@ -77,7 +77,8 @@ _eig_lock = threading.Lock()
 
 
 def _eig_factors(M: np.ndarray, g: GridSpec):
-    key = (M.astype(float).tobytes(), g)
+    # + 0.0 turns -0.0 into 0.0, so that both spellings of one M share an entry
+    key = ((M + 0.0).tobytes(), g)
     with _eig_lock:
         got = _eig_cache.get(key)
         if got is not None:

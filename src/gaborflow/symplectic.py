@@ -2,7 +2,8 @@
 their matrix flows.
 
 Conventions used throughout the package: phase-space points are plain float
-arrays ordered z = (x_1..x_n, p_1..p_n), the standard form matrix is
+arrays ordered z = (x_1..x_n, p_1..p_n) (lists of Python floats inside the
+per-point kernels of the projection and the truncated flow), the standard form matrix is
 J = [[0, I], [-I, 0]], and the symplectic product is sigma(z, z') = (J z) . z'.
 With these choices Hamilton's equations for H(z) = (1/2) M z . z read
 zdot = J M z and the flow is the matrix exponential exp(t J M).
@@ -25,6 +26,15 @@ __all__ = [
 SYMPLECTIC_DEFECT_TOL = 1e-10
 DET_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
+
+
+def _dot(a, b) -> float:
+    """sum_i a_i b_i of two sequences of floats, summed in coordinate order:
+    the inner product of the per-point kernels."""
+    total = 0.0
+    for ai, bi in zip(a, b):
+        total += ai * bi
+    return total
 
 
 def standard_J(n: int) -> np.ndarray:
@@ -54,7 +64,8 @@ class QuadraticHamiltonian:
     construction: ``eigenvalues`` mu in ascending order, ``eigenvectors`` Q
     column-wise, and their ends ``min_eigenvalue`` and ``max_eigenvalue``.
     Positive definiteness is required so that level sets {H = E} are compact
-    ellipsoids.
+    ellipsoids.  The rows of M are also kept as Python floats, for the
+    per-point evaluation in ``gradient_and_value``.
     """
 
     M: np.ndarray
@@ -63,6 +74,7 @@ class QuadraticHamiltonian:
     eigenvectors: np.ndarray = field(init=False)
     min_eigenvalue: float = field(init=False)
     max_eigenvalue: float = field(init=False)
+    _rows: list = field(init=False, repr=False)
 
     def __post_init__(self):
         M = np.array(self.M, dtype=float, copy=True)
@@ -86,10 +98,19 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "eigenvectors", Q)
         object.__setattr__(self, "min_eigenvalue", lam_min)
         object.__setattr__(self, "max_eigenvalue", float(mu[-1]))
+        object.__setattr__(self, "_rows", M.tolist())
+
+    def gradient_and_value(self, z) -> tuple[list, float]:
+        """grad H = M z and H(z) at one point, z a list of 2n floats.
+
+        Plain float arithmetic: on a single point of a few coordinates,
+        numpy's per-call overhead costs far more than the sums themselves.
+        """
+        grad = [_dot(row, z) for row in self._rows]
+        return grad, 0.5 * _dot(z, grad)
 
     def value(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return 0.5 * float(z @ self.M @ z)
+        return self.gradient_and_value(np.asarray(z, dtype=float).tolist())[1]
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized H over rows of an (m, 2n) array."""

@@ -14,11 +14,12 @@ from gaborflow.flow import (
     chi,
     flow_trajectory,
     grad_chi,
+    hamiltonian_field,
     integrate_flow,
     truncated_hamiltonian_value,
     verify_truncated_flow,
 )
-from gaborflow.lattice import Ellipsoid
+from gaborflow.lattice import Ellipsoid, distance_to_ellipsoid
 from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix
 
 
@@ -245,3 +246,102 @@ class TestTrajectory:
         assert np.all((hvals > 0.0) & (hvals < circle_truncated.ell.value(STARTS["shell"])))
         # four RK4 stages per step, the first of which also gives the row's H
         assert len(calls) == 4 * k + 1
+
+
+def numpy_field(z, th):
+    """J grad(H chi) and H chi at z evaluated with numpy on the point and
+    classified by the exact surface distance: the reference for the float
+    kernel of ``hamiltonian_field``."""
+    zc = np.asarray(z, dtype=float)
+    M = th.ell.H.M
+    H = 0.5 * float(zc @ M @ zc)
+    grad = M @ zc
+    hp = 0.0
+    if H > th.ell.E:
+        d, proj = distance_to_ellipsoid(zc, th.ell)
+        half = th.eps / 2.0
+        if d >= th.eps:
+            return np.zeros(zc.size), 0.0, 0.0
+        if d > half:
+            u = (d - half) / half
+            c = flow._h(u)
+            hp = flow._h_prime(u)
+            grad = c * grad + H * hp * (2.0 / th.eps) * (zc - proj) / d
+            H = H * c
+    n = zc.size // 2
+    # the size of the terms the field sums, which bounds its rounding error
+    size = float(np.linalg.norm(M @ zc)) + abs(H * hp) * 2.0 / th.eps
+    return np.concatenate((grad[n:], -grad[:n])), H, size
+
+
+M4 = np.array(
+    [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.4], [0.1, 0.0, 0.4, 0.8]]
+)
+
+
+def surface_point(ell, u):
+    """The surface point in direction u and the outward unit normal there."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    y = math.sqrt(2.0 * ell.E / float(u @ ell.H.M @ u)) * u
+    n = ell.H.M @ y
+    return y, n / np.linalg.norm(n)
+
+
+class TestFieldKernel:
+    @pytest.mark.parametrize("M", [[[2.0, 0.3], [0.3, 0.7]], M4], ids=["n=1", "n=2"])
+    def test_matches_the_numpy_field(self, M):
+        ell = Ellipsoid(QuadraticHamiltonian(M), 0.9)
+        th = TruncatedHamiltonian(ell, 0.3)
+        rng = np.random.default_rng(37)
+        pts = []
+        for s in rng.uniform(-0.6, 0.45, 200):
+            y, n = surface_point(ell, rng.normal(size=len(M)))
+            # inside, the inner half-shell, the transition shell and outside
+            pts.append(y + s * n if s >= 0.0 else (1.0 + s) * y)
+        kinds = set()
+        for z in pts:
+            field, value = hamiltonian_field(z, th)
+            ref, ref_value, size = numpy_field(z, th)
+            scale = 8.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(z)))
+            assert type(field) is list and len(field) == len(M)
+            assert np.max(np.abs(np.array(field) - ref)) <= scale * (1.0 + size), z
+            assert abs(value - ref_value) <= scale * (1.0 + abs(ref_value)), z
+            if ref_value == 0.0:
+                kinds.add("outside")
+            else:
+                kinds.add("shell" if ref_value < ell.H.value(z) else "plateau")
+        assert kinds == {"outside", "shell", "plateau"}
+
+
+class TestFlowInFourDimensions:
+    # n = 2: a 4 x 4 M, E = 0.9, eps = 0.3, t = 1
+    ell = Ellipsoid(QuadraticHamiltonian(M4), 0.9)
+    th = TruncatedHamiltonian(ell, 0.3)
+
+    def starts(self):
+        y, n = surface_point(self.ell, [0.5, -0.3, 0.7, 0.2])
+        # the shell start is 0.22 from the surface, inside (eps/2, eps)
+        return {"shell": y + 0.22 * n, "plateau": 0.5 * y,
+                "outside": (self.ell.outer_radius + 0.5) * y / np.linalg.norm(y)}
+
+    @pytest.mark.parametrize("kind", ["shell", "plateau", "outside"])
+    def test_conserves_H_eps(self, kind):
+        _, _, hvals = flow_trajectory(self.starts()[kind], self.th, 1.0, 1e-3)
+        assert np.max(np.abs(hvals - hvals[0])) <= 1e-7
+
+    def test_shell_start_moves_inside_the_shell(self):
+        z0 = self.starts()["shell"]
+        _, pts, hvals = flow_trajectory(z0, self.th, 1.0, 1e-3)
+        assert np.all((hvals > 0.0) & (hvals < self.ell.value(z0)))
+        assert np.linalg.norm(pts[-1] - z0) > 0.1
+
+    def test_plateau_start_follows_the_linear_flow(self):
+        z0 = self.starts()["plateau"]
+        end = integrate_flow(z0, self.th, 1.0, 1e-3)
+        assert np.max(np.abs(end - flow_matrix(self.ell.H, 1.0).S @ z0)) <= 1e-6
+
+    def test_outside_start_fixed_bitwise(self):
+        z0 = self.starts()["outside"]
+        _, pts, hvals = flow_trajectory(z0, self.th, 1.0, 1e-3)
+        assert np.array_equal(pts, np.broadcast_to(z0, pts.shape))
+        assert np.all(hvals == 0.0)

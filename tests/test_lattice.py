@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from gaborflow.lattice import (
+    _NEGLIGIBLE,
+    ON_SURFACE_REL_TOL,
     Box,
     Ellipsoid,
     PointSet,
+    _secular_root,
     classify_points,
     deform_point_set,
     distance_to_ellipsoid,
@@ -303,6 +306,113 @@ class TestDistanceToEllipsoid:
         # the center projects onto an end of the short axis
         _, proj = distance_to_ellipsoid([0.0, 0.0], ell)
         assert np.max(np.abs(np.abs(R.T @ proj) - [0.5, 0.0])) <= 1e-14
+
+
+def numpy_distance(z, ell):
+    """The surface projection evaluated with numpy on the point, as the
+    package computed it before its kernel moved to plain floats: the same
+    bracket, pole point, negligible-coordinate drop and secular solve."""
+    zc = np.asarray(z, dtype=float)
+    E = ell.E
+    Hz = 0.5 * float(zc @ ell.H.M @ zc)
+    if abs(Hz - E) <= ON_SURFACE_REL_TOL * E:
+        return 0.0, zc.copy()
+    mu, Q = ell.H.eigenvalues, ell.H.eigenvectors
+    y = Q.T @ zc
+    r = mu / mu[-1]
+    c = 1.0 - r
+    nz = np.abs(y) > _NEGLIGIBLE * (1.0 + float(np.linalg.norm(zc)))
+    mu_n, r_n, c_n, y_n = mu[nz], r[nz], c[nz], y[nz]
+
+    def psi(s):
+        den = c_n + s * r_n
+        w2 = (y_n / den) ** 2
+        q = 0.5 * float(mu_n @ w2) / E
+        slope = float(mu_n @ (r_n * w2 / den)) / (2.0 * E * q**1.5)
+        return 1.0 / math.sqrt(q) - 1.0, slope
+
+    if Hz > E:
+        lo = max(1.0, math.sqrt(Hz / E))
+        hi = max(lo, mu[-1] * math.sqrt(float(y**2 @ (1.0 / mu)) / (2.0 * E)))
+    else:
+        hi = 1.0
+        top = c_n == 0.0
+        if np.any(top):
+            lo = min(hi, math.hypot(*y_n[top]) * math.sqrt(mu[-1] / (2.0 * E)))
+        elif 0.5 * float(mu_n @ (y_n / c_n) ** 2) > E:
+            lo = 0.0
+        else:
+            top = c == 0.0
+            w = np.zeros_like(y)
+            w[~top] = (y * nz)[~top] / c[~top]
+            spare = 2.0 * E - float(mu @ w**2)
+            w[np.argmax(top)] = math.sqrt(max(spare, 0.0) / mu[-1])
+            return float(np.linalg.norm(y - w)), Q @ w
+    s = _secular_root(psi, lo, hi)
+    w = np.zeros_like(y)
+    w[nz] = y_n / (c_n + s * r_n)
+    return float(np.linalg.norm(y - w)), Q @ w
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+# the circle, three ellipses (one rotated off its axes) and one n = 2 ellipsoid
+KERNEL_ELLIPSOIDS = {
+    "circle": (np.eye(2), 0.5),
+    "axis-aligned": (np.diag([4.0, 1.0]), 0.5),
+    "coupled": (np.array([[2.0, 0.3], [0.3, 0.7]]), 1.3),
+    "rotated": (_rotation(0.3) @ np.diag([16.0, 1.0]) @ _rotation(0.3).T, 2.0),
+    "n=2": (
+        np.array(
+            [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0], [0.0, 0.2, 1.5, 0.4], [0.1, 0.0, 0.4, 0.8]]
+        ),
+        0.9,
+    ),
+}
+
+
+def kernel_points(ell, rng, count=40):
+    """Seeded exterior, interior and shell points, then points on the
+    principal axes (inside and outside) and the center."""
+    dim = 2 * ell.dim
+    u = rng.normal(size=(count, dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    # the surface point in direction u and the outward unit normal there
+    y = np.sqrt(2.0 * ell.E / ell.H.values(u))[:, None] * u
+    n = y @ ell.H.M
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    pts = [y[i] + s * n[i] for i, s in enumerate(rng.uniform(0.01, 0.5, count))]
+    pts += list(rng.uniform(1.1, 4.0, (count, 1)) * y)
+    pts += list(rng.uniform(0.0, 0.95, (count, 1)) * y)
+    axes = [np.zeros(dim)]
+    Q = ell.H.eigenvectors
+    for k in range(dim):
+        semi = math.sqrt(2.0 * ell.E / ell.H.eigenvalues[k])
+        axes += [f * semi * Q[:, k] for f in (-2.5, -0.6, 0.2, 0.9, 1.3)]
+    return pts, axes
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("name", KERNEL_ELLIPSOIDS)
+    def test_matches_the_numpy_projection(self, name):
+        M, E = KERNEL_ELLIPSOIDS[name]
+        ell = Ellipsoid(QuadraticHamiltonian(M), E)
+        Q = ell.H.eigenvectors
+        pts, axes = kernel_points(ell, np.random.default_rng(31))
+        for z in pts + axes:
+            tol = 8.0 * np.finfo(float).eps * (1.0 + float(np.linalg.norm(z)))
+            d, proj = distance_to_ellipsoid(z, ell)
+            d_ref, proj_ref = numpy_distance(z, ell)
+            assert abs(d - d_ref) <= tol, (z, d, d_ref)
+            if any(z is a for a in axes):
+                # an axis point inside the evolute has mirror-image nearest
+                # points; rounding noise off the axis picks one of them, so
+                # compare the eigenbasis coordinates up to sign
+                proj, proj_ref = np.abs(Q.T @ proj), np.abs(Q.T @ proj_ref)
+            assert np.max(np.abs(proj - proj_ref)) <= tol, (z, proj, proj_ref)
 
 
 class TestSecularRoot:

@@ -139,6 +139,15 @@ class TestMetaplecticLift:
         with pytest.raises(ValueError, match="2x2"):
             metaplectic_lift(M.ravel(), 0.2, g)
 
+    def test_signed_zero_spellings_share_one_cache_entry(self, monkeypatch):
+        from collections import OrderedDict
+
+        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
+        g = GridSpec.centered(N=32, L=8.0)
+        metaplectic_lift([[1.0, 0.0], [0.0, 2.0]], 0.2, g)
+        metaplectic_lift([[1.0, -0.0], [-0.0, 2.0]], 0.2, g)
+        assert len(metaplectic._eig_cache) == 1
+
     def test_inverse_is_reverse_time(self):
         U = metaplectic_lift(np.eye(2), 0.6, SMALL)
         phi = gaussian_window(1j, SMALL)

@@ -1,20 +1,28 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps gaborflow functions that
-it names in ``TARGETS``: each name must resolve, and the span of
-``quantize_quadratic`` reads the grid from its second positional argument."""
+it names in ``TARGETS``: each name must resolve, the span of
+``quantize_quadratic`` reads the grid from its second positional argument,
+and the truncated flow's work runs through the traced public names."""
 
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
+
+import numpy as np
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _targets():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
+
+
+def _targets():
+    return _tracer_module().TARGETS
 
 
 def test_every_traced_target_resolves():
@@ -34,3 +42,35 @@ def test_quantize_quadratic_takes_M_then_g():
     from gaborflow.metaplectic import quantize_quadratic
 
     assert list(inspect.signature(quantize_quadratic).parameters)[:2] == ["M", "g"]
+
+
+def test_flow_work_runs_through_the_traced_names():
+    # install needs every traced module loaded
+    for module in {m for m, _, _ in _targets()}:
+        importlib.import_module(module)
+    from gaborflow import flow
+    from gaborflow.lattice import Ellipsoid
+    from gaborflow.symplectic import QuadraticHamiltonian
+
+    th = flow.TruncatedHamiltonian(Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.5), 0.3)
+    # 0.2 from the unit circle, inside the transition shell (0.15, 0.3)
+    z0 = [1.2 * math.cos(0.4), 1.2 * math.sin(0.4)]
+    tracer = _tracer_module().Tracer()
+    tracer.install(0)
+    try:
+        flow.flow_trajectory(z0, th, 0.02, 1e-3)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    # 20 steps: four field evaluations per step plus the first row's
+    assert names.count("flow.hamiltonian_field") == 81
+
+    def under_trajectory(i):
+        while i >= 0:
+            if names[i] == "flow.flow_trajectory":
+                return True
+            i = tracer.spans[i][1]
+        return False
+
+    projections = [i for i, name in enumerate(names) if name == "lattice.distance_to_ellipsoid"]
+    assert any(under_trajectory(i) for i in projections)
