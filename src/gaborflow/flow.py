@@ -24,7 +24,7 @@ from .lattice import (
     distance_to_ellipsoid,
     off_surface_distances,
 )
-from .symplectic import _dot, flow_matrix
+from .symplectic import _dot, _floats, flow_matrix
 
 __all__ = [
     "TruncatedHamiltonian",
@@ -99,11 +99,6 @@ def _h_prime(u: float) -> float:
 _PLATEAU, _SHELL, _OUTSIDE = 0, 1, 2
 
 
-def _floats(z) -> list:
-    """A point as a list of Python floats, the form the per-point kernel uses."""
-    return np.asarray(z, dtype=float).tolist()
-
-
 def _distance_bounds(z: list, ell: Ellipsoid, Hval: float) -> tuple[float, float]:
     """Certified (lower, upper) bounds on the surface distance for H(z) > E.
 
@@ -154,7 +149,7 @@ def chi(z, th: TruncatedHamiltonian) -> float:
     s >= eps, and the smooth monotone transition h((s - eps/2)/(eps/2)) in
     between, where h(u) = g(1-u)/(g(u)+g(1-u)) and g(u) = exp(-1/u) for u > 0.
     """
-    region, s, *_ = _region(_floats(z), th)
+    region, s, *_ = _region(_floats(z, th.ell.dim), th)
     if region == _PLATEAU:
         return 1.0
     if region == _OUTSIDE:
@@ -171,9 +166,9 @@ def grad_chi(z, th: TruncatedHamiltonian) -> np.ndarray:
     the shell coordinate is only one-sidedly smooth) are evaluated on the
     inside branch (zero) with a NearSurfaceGradient warning.
     """
-    z = _floats(z)
-    zero = np.zeros(len(z))
     ell = th.ell
+    z = _floats(z, ell.dim)
+    zero = np.zeros(len(z))
     Hval = ell.H.gradient_and_value(z)[1]
     if Hval <= ell.E:
         return zero
@@ -210,12 +205,12 @@ def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[list, float]:
 
     This is the per-point kernel of the flow, on plain floats: numpy's
     per-call overhead on one point of a few coordinates costs far more than
-    the arithmetic.  A list of 2n floats is used as it is, any other
-    sequence is converted first, and the field comes back as a list of 2n
-    floats.
+    the arithmetic.  A list of 2n floats is used as it is, any other point
+    is converted first (a wrong number of coordinates raises ValueError), and
+    the field comes back as a list of 2n floats.
     """
-    if type(z) is not list:
-        z = _floats(z)
+    if type(z) is not list or len(z) != 2 * th.ell.dim:
+        z = _floats(z, th.ell.dim)
     region, d, proj, grad, Hval = _region(z, th)
     if region == _OUTSIDE:
         return [0.0] * len(z), 0.0
@@ -264,7 +259,7 @@ def flow_trajectory(z0, th: TruncatedHamiltonian, t: float, dt_max: float = 1e-3
     support): the remaining rows repeat it bitwise instead of accumulating
     arithmetic.
     """
-    z = _floats(z0)
+    z = _floats(z0, th.ell.dim)
     steps, dt = _step_plan(t, dt_max) if t != 0.0 else (0, 0.0)
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     k1, hval = hamiltonian_field(z, th)

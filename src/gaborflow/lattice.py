@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .symplectic import QuadraticHamiltonian, _dot, flow_matrix
+from .symplectic import QuadraticHamiltonian, _dot, _floats, flow_matrix
 
 __all__ = [
     "Box",
@@ -155,9 +155,8 @@ class Ellipsoid:
     """Level set {z : H(z) = E} of a positive definite quadratic Hamiltonian.
 
     E > 0 and positive definiteness make the surface compact; it bounds the
-    compact region {H <= E}.  The radii, the gradient floor and the
-    eigenbasis as Python floats are computed once per ellipsoid, on first
-    use.
+    compact region {H <= E}.  The radii and the gradient floor are computed
+    once per ellipsoid, on first use.
     """
 
     H: QuadraticHamiltonian
@@ -188,17 +187,6 @@ class Ellipsoid:
     def gradient_floor(self) -> float:
         """Lower bound on |grad H| anywhere on or outside the surface."""
         return self.H.min_eigenvalue * self.inner_radius
-
-    @cached_property
-    def _eigenbasis(self) -> tuple:
-        """(mu, r, c, rows of Q, columns of Q) as lists of floats, with
-        r = mu / mu_max and c = 1 - r: the projection's per-ellipsoid data."""
-        mu = self.H.eigenvalues.tolist()
-        r = [m / mu[-1] for m in mu]
-        # exact for r >= 1/2, zero on the top eigenspace
-        c = [1.0 - ri for ri in r]
-        Q = self.H.eigenvectors
-        return mu, r, c, Q.tolist(), Q.T.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,8 +321,8 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     exactly 0 with a copy of z as the projection.  The projection is always a
     new float array, never the caller's.
 
-    The solve runs on Python floats, with the eigenbasis read once per
-    ellipsoid: on one point of a few coordinates, numpy's per-call overhead
+    The solve runs on Python floats, with the eigenbasis that the
+    Hamiltonian keeps as floats: on one point of a few coordinates, numpy's per-call overhead
     would cost several times the arithmetic.
 
     Raises
@@ -344,9 +332,7 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
         message reports the scanned bracket rather than returning a wrong
         point.
     """
-    zs = np.asarray(z, dtype=float).tolist()
-    if len(zs) != 2 * ell.dim:
-        raise ValueError(f"dimension mismatch: point has {len(zs)} coords, ellipsoid n={ell.dim}")
+    zs = _floats(z, ell.dim)
     E = ell.E
     Hz = ell.H.gradient_and_value(zs)[1]
     if not math.isfinite(Hz):
@@ -354,7 +340,7 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     if abs(Hz - E) <= ON_SURFACE_REL_TOL * E:
         return 0.0, np.array(zs)
 
-    mu, r, c, Q, Qt = ell._eigenbasis
+    mu, r, c, Q, Qt = ell.H._eigenbasis
     y = [_dot(col, zs) for col in Qt]
     # coordinates that are zero or negligible have w = 0 and drop out of the
     # secular equation

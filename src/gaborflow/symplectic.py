@@ -37,6 +37,19 @@ def _dot(a, b) -> float:
     return total
 
 
+def _floats(z, dim: int) -> list:
+    """One point of R^{2 dim} as a list of Python floats, the form the
+    per-point kernels take.  Anything but 2 dim coordinates in one row raises
+    ValueError: the kernels sum with ``zip``, which would silently stop at
+    the shorter sequence."""
+    a = np.asarray(z, dtype=float)
+    if a.shape != (2 * dim,):
+        raise ValueError(
+            f"dimension mismatch: point has shape {a.shape}, expected {2 * dim} coords (n={dim})"
+        )
+    return a.tolist()
+
+
 def standard_J(n: int) -> np.ndarray:
     """Standard form matrix [[0, I_n], [-I_n, 0]] on R^{2n}."""
     if n < 1:
@@ -65,7 +78,8 @@ class QuadraticHamiltonian:
     column-wise, and their ends ``min_eigenvalue`` and ``max_eigenvalue``.
     Positive definiteness is required so that level sets {H = E} are compact
     ellipsoids.  The rows of M are also kept as Python floats, for the
-    per-point evaluation in ``gradient_and_value``.
+    per-point evaluation in ``gradient_and_value``, and so is the eigenbasis,
+    for the projection onto level sets.
     """
 
     M: np.ndarray
@@ -75,6 +89,7 @@ class QuadraticHamiltonian:
     min_eigenvalue: float = field(init=False)
     max_eigenvalue: float = field(init=False)
     _rows: list = field(init=False, repr=False)
+    _eigenbasis: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         M = np.array(self.M, dtype=float, copy=True)
@@ -99,9 +114,11 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "min_eigenvalue", lam_min)
         object.__setattr__(self, "max_eigenvalue", float(mu[-1]))
         object.__setattr__(self, "_rows", M.tolist())
+        object.__setattr__(self, "_eigenbasis", _float_eigenbasis(mu, Q))
 
     def gradient_and_value(self, z) -> tuple[list, float]:
-        """grad H = M z and H(z) at one point, z a list of 2n floats.
+        """grad H = M z and H(z) at one point, z a list of 2n floats as made
+        by ``_floats`` (its length is not checked again here).
 
         Plain float arithmetic: on a single point of a few coordinates,
         numpy's per-call overhead costs far more than the sums themselves.
@@ -110,12 +127,22 @@ class QuadraticHamiltonian:
         return grad, 0.5 * _dot(z, grad)
 
     def value(self, z) -> float:
-        return self.gradient_and_value(np.asarray(z, dtype=float).tolist())[1]
+        return self.gradient_and_value(_floats(z, self.dim))[1]
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized H over rows of an (m, 2n) array."""
         pts = np.asarray(pts, dtype=float)
         return 0.5 * np.einsum("ij,jk,ik->i", pts, self.M, pts)
+
+
+def _float_eigenbasis(mu: np.ndarray, Q: np.ndarray) -> tuple:
+    """(mu, r, c, rows of Q, columns of Q) as lists of floats, with
+    r = mu / mu_max and c = 1 - r: the projection's per-Hamiltonian data."""
+    mu = mu.tolist()
+    r = [m / mu[-1] for m in mu]
+    # exact for r >= 1/2, zero on the top eigenspace
+    c = [1.0 - ri for ri in r]
+    return mu, r, c, Q.tolist(), Q.T.tolist()
 
 
 @dataclass(frozen=True, eq=False)

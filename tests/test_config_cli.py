@@ -270,6 +270,19 @@ class TestCliCommands:
                         "--no-timestamp", "--override", "flow.t=1e-13"])
         assert code == 3
 
+    @pytest.mark.parametrize("override", [
+        "ellipsoid.M=[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]",
+        "flow.z0=[5.0,0.0,0.0]",
+    ])
+    def test_flow_start_of_the_wrong_length_exits_3(self, small_config, tmp_path, override,
+                                                    capsys):
+        out = tmp_path / "out"
+        code = run_cli(["flow", "--config", str(small_config), "--out", str(out),
+                        "--no-timestamp", "--override", override])
+        assert code == 3
+        assert "dimension" in capsys.readouterr().err
+        assert not (out / "flow.csv").exists()
+
     def test_bug_propagates_with_traceback(self, small_config, tmp_path, monkeypatch):
         from gaborflow import cli
 

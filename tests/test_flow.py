@@ -345,3 +345,24 @@ class TestFlowInFourDimensions:
         _, pts, hvals = flow_trajectory(z0, self.th, 1.0, 1e-3)
         assert np.array_equal(pts, np.broadcast_to(z0, pts.shape))
         assert np.all(hvals == 0.0)
+
+
+class TestWrongLengthPoints:
+    # every entry of the float kernel rejects a point whose length is not 2n,
+    # in each region, instead of computing on a prefix or freezing it
+    @pytest.mark.parametrize("z0", [[0.5, 0.0], [0.5, 0.0, 0.1, 0.0, 0.0]])
+    def test_flow_in_four_dimensions(self, z0):
+        with pytest.raises(ValueError, match="dimension"):
+            flow_trajectory(z0, TestFlowInFourDimensions.th, 1.0, 1e-2)
+
+    @pytest.mark.parametrize("kind", ["shell", "plateau", "outside"])
+    @pytest.mark.parametrize("as_list", [True, False])
+    def test_every_entry_on_the_circle(self, circle_truncated, kind, as_list):
+        z = STARTS[kind] + [0.0]
+        if not as_list:
+            z = np.array(z)
+        for f in (chi, grad_chi, truncated_hamiltonian_value, hamiltonian_field):
+            with pytest.raises(ValueError, match="dimension"):
+                f(z, circle_truncated)
+        with pytest.raises(ValueError, match="dimension"):
+            flow_trajectory(z, circle_truncated, 0.5, 1e-2)

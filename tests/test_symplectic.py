@@ -82,6 +82,13 @@ class TestQuadraticHamiltonian:
         with pytest.raises(ValueError, match="positive definite"):
             QuadraticHamiltonian(np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("n, z", [(1, [1.0, 0.0, 0.0]), (1, [1.0]), (2, [0.5, 0.0])])
+    def test_value_rejects_a_point_of_the_wrong_length(self, n, z):
+        # the float kernel sums with zip; a short or long point must not be
+        # evaluated on a prefix
+        with pytest.raises(ValueError, match="dimension"):
+            QuadraticHamiltonian(np.eye(2 * n)).value(z)
+
 
 class TestSymplecticMatrix:
     def test_validates(self):
