@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -27,8 +28,7 @@ from .lattice import (
     move_points,
 )
 from .metaplectic import metaplectic_lift
-from .quantum import GridSpec, State, heisenberg, heisenberg_rows, norm
-from .symplectic import QuadraticHamiltonian, flow_matrix
+from .quantum import GridSpec, State, apply_heisenberg, heisenberg_factors, norm
 
 __all__ = [
     "GaborSystem",
@@ -38,7 +38,6 @@ __all__ = [
     "frame_operator",
     "frame_bounds",
     "full_phase_space_points",
-    "covariant_deform",
     "ellipsoid_deform",
     "ellipsoid_sweep",
     "REPORT_COLUMNS",
@@ -52,11 +51,18 @@ REPORT_COLUMNS = ("t", "E", "eps", "moved", "A", "B", "A_prime", "B_prime", "rel
 
 @dataclass(frozen=True, eq=False)
 class GaborSystem:
-    """A unit-norm window, a finite 2-D phase-space point set, and a grid."""
+    """A unit-norm window, a finite 2-D phase-space point set, and a grid.
+
+    ``_base`` is empty, or ``(build, rows)`` where ``build()`` returns the
+    ``heisenberg_factors`` of a point set that agrees with ``points`` outside
+    the indices ``rows``.  The analysis then splices the system's factors
+    from those.
+    """
 
     window: State
     points: PointSet
     grid: GridSpec
+    _base: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.points.dim != 1:
@@ -111,7 +117,12 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
     """
     if len(sys.points) == 0:
         raise ValueError("analysis matrix of an empty point set")
-    T = heisenberg_rows(sys.points.points, sys.window, sys.grid)
+    base = sys._base
+    if base:
+        build, rows = base
+        base = (build(), rows)
+    factors = heisenberg_factors(sys.points.points, sys.grid, *base)
+    T = apply_heisenberg(factors, sys.window, sys.grid)
     return np.conj(T) * np.sqrt(sys.grid.dx)
 
 
@@ -203,28 +214,6 @@ def _make_report(bounds0: FrameBounds, bounds1: FrameBounds, moved: int, eps: fl
     )
 
 
-def covariant_deform(sys: GaborSystem, H: QuadraticHamiltonian, t: float, z0) -> GaborSystem:
-    """Transport the window along the flow with base point z0 and move every
-    lattice point by the flow.
-
-    The window becomes T(z_t) U_t T(z0)^{-1} window with z_t = S_t z0; the
-    points become S_t applied to the whole set.  For a quadratic Hamiltonian
-    the linearized flow is base-point independent, which is the only case
-    implemented.
-    """
-    if H.dim != 1:
-        raise ValueError("window transport is implemented for n = 1")
-    z0c = np.asarray(z0, dtype=float)
-    S = flow_matrix(H, t)
-    zt = S.S @ z0c
-    U = metaplectic_lift(H.M, t, sys.grid)
-    w = heisenberg(-z0c, sys.window, sys.grid)  # T(z0)^{-1} = T(-z0)
-    w = U.apply(w)
-    w = heisenberg(zt, w, sys.grid)
-    new_pts = PointSet._trusted(sys.points.points @ S.S.T, sys.points.delta)
-    return GaborSystem(window=w, points=new_pts, grid=sys.grid)
-
-
 def ellipsoid_sweep(
     sys: GaborSystem,
     ells,
@@ -240,20 +229,39 @@ def ellipsoid_sweep(
     thickening radius of the surface is recorded in the report to certify
     that a cutoff flow realizing this piecewise motion exists for the set.
     Frame bounds of both systems and their relative drifts make up the
-    report.  The undeformed bounds are computed once per sweep, and eps* and
-    the enclosed set once per ellipsoid.
+    report.
+
+    The sweep runs in three passes.  First it lifts the window once per
+    distinct (M, t), so that no (m, N) array is held while a cold
+    eigendecomposition runs.  Then it solves the undeformed system, whose
+    analysis builds the points' ``heisenberg_factors``; the sweep keeps them.
+    Last, per ellipsoid it finds eps* and the enclosed set, and per (E, t)
+    the deformed system's analysis rebuilds the factors of the enclosed rows
+    only.  At t = 0 the deformed system is the undeformed one (S_0 = I and
+    U_0 is the identity exactly), so its report reuses the undeformed bounds.
     """
-    bounds0 = frame_bounds(sys)
+    ells, ts, g = list(ells), list(ts), sys.grid
+    windows = {}
+    for ell in ells:
+        for t in ts:
+            key = (ell.H.M.tobytes(), t)
+            if key not in windows:
+                windows[key] = metaplectic_lift(ell.H.M, t, g).apply(sys.window)
+    # built once, within the first analysis, so that its time counts there
+    fixed = cache(partial(heisenberg_factors, sys.points.points, g))
+    bounds0 = frame_bounds(GaborSystem(sys.window, sys.points, g, (fixed, ())))
     for ell in ells:
         eps = max_safe_epsilon(sys.points, ell, boundary_tol)
         inside = classify_points(sys.points, ell, boundary_tol).inside
         for t in ts:
-            U = metaplectic_lift(ell.H.M, t, sys.grid)
-            new_sys = GaborSystem(window=U.apply(sys.window),
-                                  points=move_points(sys.points, inside, ell, t),
-                                  grid=sys.grid)
-            report = _make_report(bounds0, frame_bounds(new_sys), len(inside), eps, t, ell.E)
-            yield new_sys, report
+            window = windows[ell.H.M.tobytes(), t]
+            points = move_points(sys.points, inside, ell, t)
+            if t == 0.0:
+                new_sys, bounds1 = GaborSystem(window, points, g), bounds0
+            else:
+                new_sys = GaborSystem(window, points, g, (fixed, inside))
+                bounds1 = frame_bounds(new_sys)
+            yield new_sys, _make_report(bounds0, bounds1, len(inside), eps, t, ell.E)
 
 
 def ellipsoid_deform(

@@ -28,6 +28,8 @@ __all__ = [
     "norm",
     "heisenberg",
     "heisenberg_rows",
+    "heisenberg_factors",
+    "apply_heisenberg",
     "gaussian_window",
     "save_state",
     "load_state",
@@ -130,32 +132,69 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
     return State(heisenberg_rows(zc.reshape(1, 2), psi, g)[0])
 
 
-def heisenberg_rows(points, psi: State, g: GridSpec) -> np.ndarray:
-    """Samples of T(z_j) psi for every row z_j = (q_j, p_j) of an (m, 2) array.
+def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
+    """Shift ramps and modulations of T(z_j) for every row z_j = (q_j, p_j) of
+    an (m, 2) array: two read-only (m, N) complex arrays.
 
-    Returns an (m, N) array built from one FFT of psi, one (m, N) shift-ramp
-    product, one inverse FFT along the rows and one modulation product; row j
-    equals ``heisenberg(z_j, psi, g).values`` bitwise.  One wrap-around
-    warning is emitted when some |q_j| >= L/2.
+    They depend on the points and the grid, not on the window, so a sweep of
+    windows over one point set builds them once (``apply_heisenberg`` does
+    the rest).  With ``base``, the factors of a point set that agrees with
+    ``points`` outside the row indices ``changed``, only those rows are
+    rebuilt, into a copy of ``base``; every row is bitwise the row built from
+    scratch.  All rows are checked either way, and one wrap-around warning
+    is emitted when some |q_j| >= L/2.
     """
     z = np.asarray(points, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise ValueError(f"heisenberg requires 2-D phase points (n=1), got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("phase point must be finite")
-    _check_grid(psi, g)
-    q, p = z[:, :1], z[:, 1:]
-    qmax = float(np.max(np.abs(q), initial=0.0))
+    qmax = float(np.max(np.abs(z[:, 0]), initial=0.0))
     if qmax > (g.L / 2.0) * (1.0 + 1e-12):
         warnings.warn(
             f"translation |q|={qmax:g} > L/2={g.L / 2.0:g}: wrap-around regime",
             stacklevel=3,
         )
-    # circular shift psi(x) -> psi(x - q) via the band-limited interpolant
-    freqs = np.fft.fftfreq(g.N, d=g.dx)
-    shifted = np.fft.ifft(np.fft.fft(psi.values) * np.exp(-2j * math.pi * freqs * q), axis=1)
+    if base is None:
+        ramp, phase = _ramp_and_phase(z, g)
+    elif len(changed) == 0:
+        return base
+    else:
+        ramp, phase = (f.copy() for f in base)
+        ramp[changed], phase[changed] = _ramp_and_phase(z[changed], g)
+    ramp.setflags(write=False)
+    phase.setflags(write=False)
+    return ramp, phase
+
+
+def _ramp_and_phase(z: np.ndarray, g: GridSpec) -> tuple:
+    # row by row elementwise, so a row's factors do not depend on the others
+    q, p = z[:, :1], z[:, 1:]
+    ramp = np.exp(-2j * math.pi * np.fft.fftfreq(g.N, d=g.dx) * q)
     phase = np.exp(1j * (p * g.xs() - 0.5 * p * q) / g.hbar)
+    return ramp, phase
+
+
+def apply_heisenberg(factors, psi: State, g: GridSpec) -> np.ndarray:
+    """Samples of T(z_j) psi from the ``heisenberg_factors`` of the z_j: one
+    FFT of psi, one (m, N) shift-ramp product, one inverse FFT along the rows
+    (the band-limited circular shift psi(x) -> psi(x - q_j)) and one
+    modulation product."""
+    _check_grid(psi, g)
+    ramp, phase = factors
+    # named, not a temporary: numpy would multiply into a temporary in place
+    # with the operands swapped, and its complex product rounds differently
+    shifted = np.fft.ifft(np.fft.fft(psi.values) * ramp, axis=1)
     return phase * shifted
+
+
+def heisenberg_rows(points, psi: State, g: GridSpec) -> np.ndarray:
+    """Samples of T(z_j) psi for every row z_j = (q_j, p_j) of an (m, 2) array.
+
+    Returns an (m, N) array; row j equals ``heisenberg(z_j, psi, g).values``
+    bitwise.  One wrap-around warning is emitted when some |q_j| >= L/2.
+    """
+    return apply_heisenberg(heisenberg_factors(points, g), psi, g)
 
 
 def gaussian_window(Gamma: complex, g: GridSpec) -> State:

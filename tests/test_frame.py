@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,6 @@ from gaborflow.frame import (
     FrameBounds,
     GaborSystem,
     analysis_matrix,
-    covariant_deform,
     ellipsoid_deform,
     ellipsoid_sweep,
     frame_bounds,
@@ -24,9 +25,10 @@ from gaborflow.lattice import (
     max_safe_epsilon,
     separable_lattice,
 )
+from gaborflow import metaplectic
 from gaborflow.metaplectic import metaplectic_lift
 from gaborflow.quantum import GridSpec, State, gaussian_window, heisenberg, inner, norm
-from gaborflow.symplectic import QuadraticHamiltonian
+from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix
 
 ALPHA = 2.0 ** -0.5
 REF_GRID = GridSpec.centered(N=128, L=12.0)
@@ -196,6 +198,26 @@ class TestFrameBounds:
             FrameBounds(A=2.0, B=1.0, is_frame=True)
 
 
+def covariant_deform(sys, H, t, z0):
+    """Transport the window along the flow with base point z0 and move every
+    lattice point by the flow.
+
+    The window becomes T(z_t) U_t T(z0)^{-1} window with z_t = S_t z0; the
+    points become S_t applied to the whole set.  For a quadratic Hamiltonian
+    the linearized flow is base-point independent, which is the only case
+    implemented.
+    """
+    z0c = np.asarray(z0, dtype=float)
+    S = flow_matrix(H, t)
+    zt = S.S @ z0c
+    U = metaplectic_lift(H.M, t, sys.grid)
+    w = heisenberg(-z0c, sys.window, sys.grid)  # T(z0)^{-1} = T(-z0)
+    w = U.apply(w)
+    w = heisenberg(zt, w, sys.grid)
+    new_pts = PointSet._trusted(sys.points.points @ S.S.T, sys.points.delta)
+    return GaborSystem(window=w, points=new_pts, grid=sys.grid)
+
+
 class TestCovariantDeform:
     def test_zero_time_round_trip(self):
         sysR = reference_system()
@@ -281,6 +303,28 @@ def per_call_row(sys, ell, t):
             abs(b1.B - b0.B) / max(b0.B, 1e-9 * scale, 1e-300))
 
 
+def assert_sweep_matches_per_call(sys, ells, ts):
+    """Every report of the sweep equals ``per_call_row`` and the bounds of
+    its own system bitwise, and the system's analysis matrix equals the one
+    built from scratch."""
+    swept = list(ellipsoid_sweep(sys, ells, ts))
+    assert len(swept) == len(ells) * len(ts)
+    for k, (out, rep) in enumerate(swept):
+        ell, t = ells[k // len(ts)], ts[k % len(ts)]
+        assert rep.csv_row() == per_call_row(sys, ell, t)
+        assert frame_bounds(out) == rep.bounds_after
+        fresh = GaborSystem(out.window, out.points, out.grid)
+        assert np.array_equal(analysis_matrix(out), analysis_matrix(fresh))
+    return swept
+
+
+ANISOTROPIC = QuadraticHamiltonian(np.diag([1.0, 2.0]))
+# reference lattices with m = 289 >= N = 128 and m = 81 < N: the frame-operator
+# and the Gram side of frame_bounds
+BOTH_SIDES = pytest.mark.parametrize("box", [((-6, 6), (-6, 6)), ((-3, 3), (-3, 3))],
+                                     ids=["m>=N", "m<N"])
+
+
 class TestEllipsoidSweep:
     def test_rows_equal_per_call_reports_bitwise(self):
         sysR = reference_system()
@@ -297,6 +341,92 @@ class TestEllipsoidSweep:
             assert np.array_equal(out.points.points, out1.points.points)
             if t == 0.0:
                 assert rep.rel_dA == rep.rel_dB == 0.0
+
+    @BOTH_SIDES
+    def test_nothing_enclosed_still_moves_the_window(self, box):
+        # the lattice misses the origin, so the small ellipsoid encloses no
+        # point; the lifted window alone changes the bounds at t != 0
+        sys0 = reference_system(box=box)
+        shifted = PointSet(sys0.points.points + 0.25 * ALPHA, sys0.points.delta)
+        sys0 = GaborSystem(sys0.window, shifted, sys0.grid)
+        swept = assert_sweep_matches_per_call(sys0, [Ellipsoid(ANISOTROPIC, 0.02)],
+                                              [0.0, 0.4, 1.1])
+        assert all(rep.moved_count == 0 for _, rep in swept)
+        assert [rep.bounds_after.B != rep.bounds_before.B for _, rep in swept] == [
+            False, True, True]
+
+    @pytest.mark.filterwarnings("ignore:.*wrap")
+    @BOTH_SIDES
+    def test_every_point_enclosed(self, box):
+        sysR = reference_system(box=box)
+        swept = assert_sweep_matches_per_call(sysR, [Ellipsoid(ANISOTROPIC, 80.0)],
+                                              [0.0, 0.4, 1.1])
+        assert all(rep.moved_count == len(sysR.points) for _, rep in swept)
+
+    @BOTH_SIDES
+    def test_some_points_enclosed_on_either_side(self, box):
+        sysR = reference_system(box=box)
+        ells = [Ellipsoid(ANISOTROPIC, E) for E in (0.3, 2.0)]
+        swept = assert_sweep_matches_per_call(sysR, ells, [0.0, 0.4, 1.1])
+        assert [rep.moved_count for _, rep in swept[::3]] == [
+            len(classify_points(sysR.points, ell).inside) for ell in ells]
+        assert 0 < swept[0][1].moved_count < swept[3][1].moved_count < len(sysR.points)
+
+    def test_wrap_around_warns_for_every_deformed_system(self):
+        # |q| reaches 2.83 > L/2 = 2 on the fixed points; the enclosed ones
+        # stay inside the box, so only a check of the whole set warns
+        g = GridSpec.centered(N=64, L=4.0)
+        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]), 1)
+        with pytest.warns(UserWarning, match="wrap"):
+            sysW = GaborSystem(gaussian_window(1j, g), P, g)
+        ell = Ellipsoid(ANISOTROPIC, 0.5)
+        ts = [0.0, 0.4, 1.1]
+        sweep = ellipsoid_sweep(sysW, [ell], ts)
+        for t in ts:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out, rep = next(sweep)
+            messages = [str(w.message) for w in caught]
+            assert np.max(np.abs(out.points.points[classify_points(P, ell).inside, 0])) < 2.0
+            assert any("windows wrap around the box" in m for m in messages)
+            if t != 0.0:
+                assert any("wrap-around regime" in m for m in messages)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert rep.csv_row() == per_call_row(sysW, ell, t)
+                assert frame_bounds(out) == rep.bounds_after
+
+    def test_cold_lifts_run_before_the_factors(self):
+        # the fixed rows' factors (0.66 MB here) must not be held while the
+        # cold eigendecomposition of the lift runs: then the cold sweep's
+        # peak is the larger of the lift's own and the warm sweep's.  Peaks
+        # count from tracemalloc.start, so the warm one includes the cached
+        # eigenfactors that the cold sweep adds.
+        g = GridSpec.centered(N=256, L=16.0)
+        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]), 1)
+        sysM = GaborSystem(gaussian_window(1j, g), P, g)
+        ells = [Ellipsoid(ANISOTROPIC, 1.0)]
+        ts = [0.0, 0.4, 1.1]
+
+        def peak(run):
+            tracemalloc.reset_peak()
+            run()
+            return tracemalloc.get_traced_memory()[1]
+
+        def sweep():
+            for _ in ellipsoid_sweep(sysM, ells, ts):
+                pass
+
+        tracemalloc.start()
+        try:
+            metaplectic._eig_cache.clear()
+            lift = peak(lambda: metaplectic_lift(ANISOTROPIC.M, 0.4, g))
+            metaplectic._eig_cache.clear()
+            cold = peak(sweep)
+            warm = peak(sweep)
+        finally:
+            tracemalloc.stop()
+        assert cold <= 1.05 * max(lift, warm)
 
 
 class TestCompareReports:

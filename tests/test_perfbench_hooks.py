@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps gaborflow functions that
 it names in ``TARGETS``: each name must resolve, the span of
 ``quantize_quadratic`` reads the grid from its second positional argument,
-and the truncated flow's work runs through the traced public names."""
+and the truncated flow's work and a sweep's solves and analyses run through
+the traced public names."""
 
 import importlib
 import importlib.util
@@ -74,3 +75,35 @@ def test_flow_work_runs_through_the_traced_names():
 
     projections = [i for i, name in enumerate(names) if name == "lattice.distance_to_ellipsoid"]
     assert any(under_trajectory(i) for i in projections)
+
+
+def test_every_deformed_solve_runs_through_the_traced_names():
+    for module in {m for m, _, _ in _targets()}:
+        importlib.import_module(module)
+    from gaborflow import frame
+    from gaborflow.lattice import Box, Ellipsoid, separable_lattice
+    from gaborflow.quantum import GridSpec, gaussian_window
+    from gaborflow.symplectic import QuadraticHamiltonian
+
+    g = GridSpec.centered(N=64, L=8.0)
+    P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2, 2], [-2, 2]]), 1)
+    sys_ = frame.GaborSystem(gaussian_window(1j, g), P, g)
+    H = QuadraticHamiltonian(np.diag([1.0, 2.0]))
+    ells = [Ellipsoid(H, 0.01), Ellipsoid(H, 1.5)]
+    ts = [0.0, 0.3, 0.0, 0.9]
+    tracer = _tracer_module().Tracer()
+    tracer.install(0)
+    try:
+        rows = [rep for _, rep in frame.ellipsoid_sweep(sys_, ells, ts)]
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    solves = [i for i, name in enumerate(names) if name == "frame.frame_bounds"]
+    # the undeformed bounds, then one solve per row with t != 0
+    assert len(solves) == sum(1 for rep in rows if rep.t != 0.0) + 1 == 5
+    for i in solves:
+        beneath = [j for j, span in enumerate(tracer.spans) if span[1] == i]
+        assert [names[j] for j in beneath] == ["frame.analysis_matrix"]
+    # one lift and one apply per distinct (M, t): both ellipsoids share M
+    assert names.count("metaplectic.metaplectic_lift") == 3
+    assert names.count("metaplectic.Propagator.apply") == 3
