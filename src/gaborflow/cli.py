@@ -87,7 +87,7 @@ def cmd_deform(args) -> int:
     g = cfg.build_grid()
     sys_ = GaborSystem(cfg.build_window(g), cfg.build_lattice(), g)
     ells = [cfg.build_ellipsoid(E) for E in cfg.energy_sweep()]
-    sweep = ellipsoid_sweep(sys_, ells, cfg.t_values(), cfg.tolerances.boundary_tol)
+    sweep = ellipsoid_sweep(sys_, ells, cfg.t_values(), cfg.tolerance_values()[0])
     rows = [report.csv_row() for _, report in sweep]
     _write_csv(_outdir(args) / "deform.csv", REPORT_COLUMNS, rows, not args.no_timestamp)
     print(f"wrote {len(rows)} deformation rows")
@@ -95,14 +95,10 @@ def cmd_deform(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from .flow import TruncatedHamiltonian, flow_trajectory
+    from .flow import flow_trajectory
 
-    cfg = _load_config(args)
-    ell = cfg.build_ellipsoid()
-    th = TruncatedHamiltonian(ell, float(cfg.flow.eps))
-    times, pts, hvals = flow_trajectory(
-        [float(v) for v in cfg.flow.z0], th, float(cfg.flow.t), float(cfg.flow.dt_max)
-    )
+    th, z0, t, dt_max = _load_config(args).build_flow()
+    times, pts, hvals = flow_trajectory(z0, th, t, dt_max)
     n = pts.shape[1] // 2
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
               + ["H_eps"])
@@ -119,9 +115,7 @@ def cmd_epsilon(args) -> int:
 
     cfg = _load_config(args)
     ell = cfg.build_ellipsoid()
-    eps = max_safe_epsilon(
-        cfg.build_lattice(), ell, cfg.tolerances.boundary_tol, cfg.tolerances.eps_max
-    )
+    eps = max_safe_epsilon(cfg.build_lattice(), ell, *cfg.tolerance_values())
     print(_fmt(eps))
     if args.out:
         _write_csv(_outdir(args) / "epsilon.csv", ("E", "eps_star"),
@@ -134,10 +128,11 @@ def cmd_count(args) -> int:
 
     cfg = _load_config(args)
     P = cfg.build_lattice()
+    boundary_tol = cfg.tolerance_values()[0]
     rows = []
     for E in cfg.energy_sweep():
         # the enclosed set, surface included: the points that deform moves
-        inside = classify_points(P, cfg.build_ellipsoid(E), cfg.tolerances.boundary_tol).inside
+        inside = classify_points(P, cfg.build_ellipsoid(E), boundary_tol).inside
         rows.append((E, len(inside)))
     _write_csv(_outdir(args) / "count.csv", ("E", "count"), rows, not args.no_timestamp)
     for E, c in rows:
@@ -150,14 +145,13 @@ def cmd_covariance(args) -> int:
 
     cfg = _load_config(args)
     M = cfg.build_ellipsoid().H.M
-    grids = cfg.covariance.grids or [cfg.grid.N]
-    grids = [int(n) for n in grids]
+    grids = cfg.covariance_grids()
+    cases = cfg.covariance_cases()
     header = ["t", "q", "p"] + [f"defect_N{n}" for n in grids]
     if len(grids) == 2:
         header.append("ratio")
     rows = []
-    for case in cfg.covariance.cases:
-        t, q, p = (float(v) for v in case)
+    for t, q, p in cases:
         defects = [covariance_defect(M, t, [q, p], cfg.build_grid(n)) for n in grids]
         row = [t, q, p] + defects
         if len(grids) == 2:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .flow import TruncatedHamiltonian
 from .lattice import Box, Ellipsoid, PointSet, separable_lattice
 from .quantum import HBAR_GABOR, GridSpec, State, gaussian_window, load_state, norm
 from .symplectic import QuadraticHamiltonian
@@ -192,14 +193,15 @@ class ScenarioConfig:
     def build_lattice(self) -> PointSet:
         try:
             box = Box.from_pairs(self.lattice.box)
-            n = box.dim
-            return separable_lattice(float(self.lattice.alpha), float(self.lattice.beta), box, n)
-        except (TypeError, ValueError) as exc:
+            return separable_lattice(float(self.lattice.alpha), float(self.lattice.beta), box)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid lattice: {exc}") from exc
 
     def energy_sweep(self) -> list[float]:
         E = self.ellipsoid.E
         values = list(E) if isinstance(E, (list, tuple)) else [E]
+        if not values:
+            raise ConfigError("ellipsoid energies must not be empty")
         try:
             return [float(v) for v in values]
         except (TypeError, ValueError) as exc:
@@ -219,3 +221,37 @@ class ScenarioConfig:
             return [float(t) for t in self.deformation.t_values]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid deformation t values: {exc}") from exc
+
+    def build_flow(self) -> tuple[TruncatedHamiltonian, list[float], float, float]:
+        """The truncated Hamiltonian of the flow run and its start z0, time t
+        and dt_max.  The length of z0 is left to the flow kernel, which checks
+        it against the ellipsoid."""
+        flow = self.flow
+        try:
+            th = TruncatedHamiltonian(self.build_ellipsoid(), float(flow.eps))
+            return th, [float(v) for v in flow.z0], float(flow.t), float(flow.dt_max)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid flow: {exc}") from exc
+
+    def tolerance_values(self) -> tuple[float, float]:
+        """(boundary_tol, eps_max) as floats."""
+        try:
+            return float(self.tolerances.boundary_tol), float(self.tolerances.eps_max)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid tolerances: {exc}") from exc
+
+    def covariance_grids(self) -> list[int]:
+        """The grid sizes N to compare, the scenario grid's when none is set."""
+        if not self.covariance.grids:
+            return [self.build_grid().N]
+        try:
+            return [int(n) for n in self.covariance.grids]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid covariance grids: {exc}") from exc
+
+    def covariance_cases(self) -> list[tuple[float, float, float]]:
+        """The covariance cases as (t, q, p) triples."""
+        try:
+            return [(float(t), float(q), float(p)) for t, q, p in self.covariance.cases]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid covariance cases: {exc}") from exc

@@ -12,7 +12,6 @@ convergence thanks to the smooth cutoff.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,6 @@ from .symplectic import _dot, _floats, flow_matrix
 __all__ = [
     "TruncatedHamiltonian",
     "FlowStepError",
-    "NearSurfaceGradient",
-    "chi",
-    "grad_chi",
-    "truncated_hamiltonian_value",
     "hamiltonian_field",
     "integrate_flow",
     "flow_trajectory",
@@ -47,17 +42,16 @@ class FlowStepError(RuntimeError):
     """Step size underflow in the fixed-step integrator."""
 
 
-class NearSurfaceGradient(UserWarning):
-    """Cutoff gradient requested within 1e-12 of the ellipsoid surface."""
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedHamiltonian:
     """H restricted by the cutoff of an ellipsoid with shell width eps > 0:
     value H(z) * chi(z), support inside the enclosed region plus the full
     shell.
 
-    The cutoff is 1 up to surface distance eps/2 and 0 from distance eps on.
+    With s the distance to the enclosed region, the cutoff chi is 1 for
+    s <= eps/2, 0 for s >= eps, and h((s - eps/2)/(eps/2)) in between, where
+    h(u) = g(1-u)/(g(u)+g(1-u)) and g(u) = exp(-1/u) for u > 0.
+
     When driving lattice deformation experiments eps must not exceed
     ``max_safe_epsilon`` of the point set in play; that is checked at the
     experiment level, not here.
@@ -140,60 +134,6 @@ def _region(z: list, th: TruncatedHamiltonian):
     if d >= th.eps:
         return _OUTSIDE, d, proj, grad, Hval
     return _SHELL, d, proj, grad, Hval
-
-
-def chi(z, th: TruncatedHamiltonian) -> float:
-    """Cutoff value in [0, 1]; exactly 1 on the plateau, exactly 0 outside.
-
-    With s the distance to the enclosed region: 1 for s <= eps/2, 0 for
-    s >= eps, and the smooth monotone transition h((s - eps/2)/(eps/2)) in
-    between, where h(u) = g(1-u)/(g(u)+g(1-u)) and g(u) = exp(-1/u) for u > 0.
-    """
-    region, s, *_ = _region(_floats(z, th.ell.dim), th)
-    if region == _PLATEAU:
-        return 1.0
-    if region == _OUTSIDE:
-        return 0.0
-    half = th.eps / 2.0
-    return _h((s - half) / half)
-
-
-def grad_chi(z, th: TruncatedHamiltonian) -> np.ndarray:
-    """Analytic gradient of the cutoff by the chain rule.
-
-    grad chi = h'(u) * (2/eps) * (z - proj)/|z - proj| in the transition
-    shell, zero on both plateaus.  Points within 1e-12 of the surface (where
-    the shell coordinate is only one-sidedly smooth) are evaluated on the
-    inside branch (zero) with a NearSurfaceGradient warning.
-    """
-    ell = th.ell
-    z = _floats(z, ell.dim)
-    zero = np.zeros(len(z))
-    Hval = ell.H.gradient_and_value(z)[1]
-    if Hval <= ell.E:
-        return zero
-    _, d_hi = _distance_bounds(z, ell, Hval)
-    if d_hi <= 1e-12:
-        warnings.warn(
-            "grad_chi requested within 1e-12 of the surface; returning the inside branch",
-            NearSurfaceGradient,
-            stacklevel=2,
-        )
-        return zero
-    region, d, proj, _, _ = _region(z, th)
-    if region != _SHELL:
-        return zero
-    half = th.eps / 2.0
-    hp = _h_prime((d - half) / half)
-    if hp == 0.0:
-        return zero
-    a = hp * (2.0 / th.eps)
-    return np.array([a * (zi - pi) / d for zi, pi in zip(z, proj)])
-
-
-def truncated_hamiltonian_value(z, th: TruncatedHamiltonian) -> float:
-    """H(z) * chi(z): equals H on the inner plateau, 0 outside the support."""
-    return hamiltonian_field(z, th)[1]
 
 
 def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[list, float]:

@@ -67,7 +67,7 @@ class Box:
         hi = np.array(self.upper, dtype=float, copy=True)
         if lo.ndim != 1 or lo.shape != hi.shape or lo.size == 0 or lo.size % 2 != 0:
             raise ValueError("box bounds must be matching 1-D vectors of even length")
-        if np.any(lo >= hi):
+        if not np.all(lo < hi):
             raise ValueError("box requires lower < upper componentwise")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -203,18 +203,15 @@ class PointClasses:
         return np.concatenate([self.interior, self.boundary])
 
 
-def separable_lattice(alpha: float, beta: float, box: Box, n: int) -> PointSet:
-    """All points of (alpha Z)^n x (beta Z)^n inside the box.
+def separable_lattice(alpha: float, beta: float, box: Box) -> PointSet:
+    """All points of (alpha Z)^n x (beta Z)^n inside the box, n = box.dim.
 
     The certified separation is min(alpha, beta).  An empty intersection is
     allowed and flagged with a warning.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError("alpha and beta must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if box.dim != n:
-        raise ValueError(f"box dimension {box.dim} does not match n={n}")
+    n = box.dim
     axes = []
     for i in range(2 * n):
         spacing = alpha if i < n else beta
@@ -246,7 +243,7 @@ def classify_points(
     """
     if P.dim != ell.dim:
         raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
-    if boundary_tol < 0.0:
+    if not (boundary_tol >= 0.0):
         raise ValueError("boundary_tol must be >= 0")
     vals = ell.H.values(P.points) if len(P) else np.empty(0)
     band = boundary_tol * ell.E
@@ -313,9 +310,11 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
 
     The distance is accurate to a few units in the last place of 1 + |z|
     (the tests hold it to 1e-14 * (1 + |z|) on the circle, an ellipse, the
-    axes and the center).  The cutoff ``chi`` is a function of this distance
-    and relies on that: a finite difference of chi with step h sees the
-    distance error amplified by 1/h, which stays far below 1e-5 for h = 1e-6.
+    axes and the center).  The cutoff of the truncated flow is a function of
+    this distance and relies on that: the tests hold the field of
+    ``hamiltonian_field`` to 1e-5 of central differences of its own H_eps
+    with step h = 1e-6, and such a difference sees the distance error
+    amplified by 1/h.
 
     Points already on the surface within 1e-10 relative in H return distance
     exactly 0 with a copy of z as the projection.  The projection is always a

@@ -57,7 +57,7 @@ def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"M must be 2x2, got shape {M.shape}")
-    if abs(M[0, 1] - M[1, 0]) > 1e-12:
+    if not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
         raise ValueError("M must be symmetric")
     x = g.xs()
     P = momentum_operator(g)
@@ -88,7 +88,7 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
         gram = evecs.conj().T @ evecs
         gram[np.diag_indices(g.N)] -= 1.0
         defect = float(np.max(np.abs(gram)))
-        if defect > UNITARITY_TOL:
+        if not (defect <= UNITARITY_TOL):
             raise np.linalg.LinAlgError(
                 f"eigenbasis not unitary within {UNITARITY_TOL}: defect {defect:.3e}"
             )
@@ -135,7 +135,7 @@ def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
     once per (M, grid) and reused across t, so sweeps over time are cheap.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12:
+    if M.shape != (2, 2) or not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
         raise ValueError("M must be a symmetric 2x2 matrix")
     evals, evecs = _eig_factors(M, g)
     return Propagator(evals, evecs, t, g)

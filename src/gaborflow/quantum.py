@@ -27,7 +27,6 @@ __all__ = [
     "inner",
     "norm",
     "heisenberg",
-    "heisenberg_rows",
     "heisenberg_factors",
     "apply_heisenberg",
     "gaussian_window",
@@ -129,7 +128,7 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
     zc = np.asarray(z, dtype=float)
     if zc.size != 2:
         raise ValueError(f"heisenberg requires a 2-D phase point (n=1), got {zc.size} coords")
-    return State(heisenberg_rows(zc.reshape(1, 2), psi, g)[0])
+    return State(apply_heisenberg(heisenberg_factors(zc.reshape(1, 2), g), psi, g)[0])
 
 
 def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
@@ -186,15 +185,6 @@ def apply_heisenberg(factors, psi: State, g: GridSpec) -> np.ndarray:
     # with the operands swapped, and its complex product rounds differently
     shifted = np.fft.ifft(np.fft.fft(psi.values) * ramp, axis=1)
     return phase * shifted
-
-
-def heisenberg_rows(points, psi: State, g: GridSpec) -> np.ndarray:
-    """Samples of T(z_j) psi for every row z_j = (q_j, p_j) of an (m, 2) array.
-
-    Returns an (m, N) array; row j equals ``heisenberg(z_j, psi, g).values``
-    bitwise.  One wrap-around warning is emitted when some |q_j| >= L/2.
-    """
-    return apply_heisenberg(heisenberg_factors(points, g), psi, g)
 
 
 def gaussian_window(Gamma: complex, g: GridSpec) -> State:

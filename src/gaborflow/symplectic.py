@@ -18,8 +18,6 @@ __all__ = [
     "QuadraticHamiltonian",
     "SymplecticMatrix",
     "standard_J",
-    "symplectic_form",
-    "is_symplectic",
     "flow_matrix",
 ]
 
@@ -60,15 +58,6 @@ def standard_J(n: int) -> np.ndarray:
     return J
 
 
-def symplectic_form(z, zp) -> float:
-    """sigma(z, z') = (J z) . z'."""
-    z = np.asarray(z, dtype=float)
-    zp = np.asarray(zp, dtype=float)
-    n = z.size // 2
-    # (Jz) = (p, -x) in the (x, p) block ordering
-    return float(np.dot(z[n:], zp[:n]) - np.dot(z[:n], zp[n:]))
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
     """H(z) = (1/2) M z . z with M symmetric positive definite.
@@ -99,11 +88,11 @@ class QuadraticHamiltonian:
         if side == 0 or side % 2 != 0:
             raise ValueError(f"M must be 2n x 2n with n >= 1, got side {side}")
         defect = np.max(np.abs(M - M.T))
-        if defect > SYMMETRY_TOL:
+        if not (defect <= SYMMETRY_TOL):
             raise ValueError(f"M must be symmetric within {SYMMETRY_TOL}, defect {defect:.3e}")
         mu, Q = np.linalg.eigh(M)
         lam_min = float(mu[0])
-        if lam_min <= 0.0:
+        if not (lam_min > 0.0):
             raise ValueError(f"M must be positive definite, smallest eigenvalue {lam_min:.3e}")
         for a in (M, mu, Q):
             a.setflags(write=False)
@@ -159,13 +148,13 @@ class SymplecticMatrix:
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
             raise ValueError(f"S must be 2n x 2n, got shape {S.shape}")
         defect = _symplectic_defect(S)
-        if defect > SYMPLECTIC_DEFECT_TOL:
+        if not (defect <= SYMPLECTIC_DEFECT_TOL):
             raise ValueError(
                 f"matrix is not symplectic: max|S^T J S - J| = {defect:.3e} "
                 f"> {SYMPLECTIC_DEFECT_TOL}"
             )
         det = float(np.linalg.det(S))
-        if abs(det - 1.0) > DET_TOL:
+        if not (abs(det - 1.0) <= DET_TOL):
             raise ValueError(f"symplectic matrix must have det 1, got {det!r}")
         S.setflags(write=False)
         object.__setattr__(self, "S", S)
@@ -175,16 +164,6 @@ def _symplectic_defect(S: np.ndarray) -> float:
     n = S.shape[0] // 2
     J = standard_J(n)
     return float(np.max(np.abs(S.T @ J @ S - J)))
-
-
-def is_symplectic(S: np.ndarray, tol: float) -> bool:
-    """True iff max|S^T J S - J| <= tol.  Rejects odd-dimensional input."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"S must be square, got shape {S.shape}")
-    if S.shape[0] % 2 != 0:
-        raise ValueError(f"S must have even dimension, got {S.shape[0]}")
-    return _symplectic_defect(S) <= tol
 
 
 def flow_matrix(H: QuadraticHamiltonian, t: float) -> SymplecticMatrix:

@@ -21,4 +21,4 @@ def z2_lattice():
     """Integer lattice on [-3, 3]^2: the 49-point workhorse."""
     from gaborflow.lattice import Box, separable_lattice
 
-    return separable_lattice(1.0, 1.0, Box.from_pairs([[-3, 3], [-3, 3]]), 1)
+    return separable_lattice(1.0, 1.0, Box.from_pairs([[-3, 3], [-3, 3]]))

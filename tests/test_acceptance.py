@@ -52,7 +52,7 @@ def _report(num, name, ok, detail=""):
 def deform_system(N):
     g = GridSpec.centered(N=N, L=DEFORM_L)
     phi = gaussian_window(1j, g)
-    P = separable_lattice(ALPHA, ALPHA, Box.from_pairs(DEFORM_BOX), 1)
+    P = separable_lattice(ALPHA, ALPHA, Box.from_pairs(DEFORM_BOX))
     return GaborSystem(phi, P, g)
 
 

@@ -264,6 +264,40 @@ class TestCliCommands:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_nan_matrix_exits_2(self, small_config, tmp_path, capsys):
+        # json.loads reads NaN
+        code = run_cli(["count", "--config", str(small_config), "--out", str(tmp_path),
+                        "--override", "ellipsoid.M=[[NaN,0],[0,1]]"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, override", [
+        ("flow", "flow.eps=null"),
+        ("flow", "flow.t=null"),
+        ("flow", "flow.z0=5"),
+        ("deform", "tolerances.boundary_tol=null"),
+        ("flow", "ellipsoid.E=[]"),
+        ("epsilon", "ellipsoid.E=[]"),
+        ("deform", "ellipsoid.E=[]"),
+        ("count", "ellipsoid.E=[]"),
+        ("covariance", "covariance.cases=[[1,2]]"),
+        ("covariance", 'covariance.grids=["x"]'),
+        ("count", "lattice.box=[[-Infinity,1],[0,1]]"),
+    ])
+    def test_malformed_field_exits_2(self, small_config, tmp_path, command, override, capsys):
+        out = tmp_path / "out"
+        code = run_cli([command, "--config", str(small_config), "--out", str(out),
+                        "--no-timestamp", "--override", override])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_covariance_on_a_malformed_scenario_grid_exits_2(self, tmp_path, capsys):
+        # with no covariance grids set, the scenario grid is the one compared
+        code = run_cli(["covariance", "--out", str(tmp_path), "--override", "grid.N=null"])
+        assert code == 2
+        assert "config error: invalid grid" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, small_config, tmp_path):
         # a time below the step-underflow threshold trips the integrator guard
         code = run_cli(["flow", "--config", str(small_config), "--out", str(tmp_path),

@@ -9,18 +9,14 @@ from gaborflow import flow
 from gaborflow.cli import main
 from gaborflow.flow import (
     FlowStepError,
-    NearSurfaceGradient,
     TruncatedHamiltonian,
-    chi,
     flow_trajectory,
-    grad_chi,
     hamiltonian_field,
     integrate_flow,
-    truncated_hamiltonian_value,
     verify_truncated_flow,
 )
 from gaborflow.lattice import Ellipsoid, distance_to_ellipsoid
-from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix
+from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix, standard_J
 
 
 # starts for the unit circle with eps = 0.3: distance 0.2 from the surface lies
@@ -37,22 +33,34 @@ def circle_truncated(unit_circle):
     return TruncatedHamiltonian(unit_circle, 0.3)
 
 
+def cutoff(z, th):
+    """The cutoff at z as the flow classifies it: h of the shell coordinate
+    (s - eps/2)/(eps/2), which is <= 0 on the plateau (h = 1) and >= 1
+    outside the support (h = 0)."""
+    s = flow._region(np.asarray(z, dtype=float).tolist(), th)[1]
+    half = th.eps / 2.0
+    return flow._h((s - half) / half)
+
+
 class TestChi:
     def test_enclosed_is_one(self, circle_truncated):
-        assert chi([0.1, 0.0], circle_truncated) == 1.0
-        assert chi([1.0, 0.0], circle_truncated) == 1.0  # on the surface
+        th = circle_truncated
+        assert hamiltonian_field([0.1, 0.0], th)[1] == th.ell.H.value([0.1, 0.0])
+        assert hamiltonian_field([1.0, 0.0], th)[1] == th.ell.H.value([1.0, 0.0])  # on the surface
 
     def test_outside_support_is_zero(self, circle_truncated):
-        assert chi([3.0, 0.0], circle_truncated) == 0.0
-        assert chi([0.0, -1.31], circle_truncated) == 0.0
+        assert hamiltonian_field([3.0, 0.0], circle_truncated)[1] == 0.0
+        assert hamiltonian_field([0.0, -1.31], circle_truncated)[1] == 0.0
 
     def test_midpoint_by_symmetry(self, circle_truncated):
         # s = 3 eps/4 sits at the symmetric center of the transition
-        assert chi([1.225, 0.0], circle_truncated) == pytest.approx(0.5, abs=1e-12)
+        z = [1.225, 0.0]
+        ratio = hamiltonian_field(z, circle_truncated)[1] / circle_truncated.ell.H.value(z)
+        assert ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_in_radius(self, circle_truncated):
         radii = np.linspace(1.0, 1.4, 81)
-        vals = [chi([r, 0.0], circle_truncated) for r in radii]
+        vals = [cutoff([r, 0.0], circle_truncated) for r in radii]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     @given(angle=st.floats(0, 2 * math.pi), r1=st.floats(1.0, 1.5), r2=st.floats(1.0, 1.5))
@@ -61,35 +69,40 @@ class TestChi:
         th = TruncatedHamiltonian(Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.5), 0.3)
         lo, hi = sorted([r1, r2])
         u = np.array([math.cos(angle), math.sin(angle)])
-        assert chi(lo * u, th) >= chi(hi * u, th)
+        assert cutoff(lo * u, th) >= cutoff(hi * u, th)
 
 
 class TestGradChi:
+    # the cutoff's gradient enters the field J grad(H chi) only in the shell:
+    # on both plateaus the field is J M z and 0, bitwise
     def test_zero_on_plateaus(self, circle_truncated):
-        assert np.array_equal(grad_chi([0.3, 0.2], circle_truncated), [0.0, 0.0])
-        assert np.array_equal(grad_chi([1.0, 1.0], circle_truncated), [0.0, 0.0])
+        assert hamiltonian_field([0.3, 0.2], circle_truncated)[0] == [0.2, -0.3]
+        assert hamiltonian_field([1.0, 1.0], circle_truncated)[0] == [0.0, 0.0]
 
     def test_matches_finite_differences(self, circle_truncated):
+        # J grad(H chi) against J times central differences of H chi
         rng = np.random.default_rng(5)
         step = 1e-6
         for _ in range(12):
             r = rng.uniform(1.16, 1.29)
             ang = rng.uniform(0, 2 * math.pi)
             z = r * np.array([math.cos(ang), math.sin(ang)])
-            analytic = grad_chi(z, circle_truncated)
+            analytic = np.array(hamiltonian_field(z, circle_truncated)[0])
             fd = np.zeros(2)
             for i in range(2):
                 zp, zm = z.copy(), z.copy()
                 zp[i] += step
                 zm[i] -= step
-                fd[i] = (chi(zp, circle_truncated) - chi(zm, circle_truncated)) / (2 * step)
-            assert np.max(np.abs(analytic - fd)) <= 1e-5
+                hp = hamiltonian_field(zp, circle_truncated)[1]
+                hm = hamiltonian_field(zm, circle_truncated)[1]
+                fd[i] = (hp - hm) / (2 * step)
+            assert np.max(np.abs(analytic - standard_J(1) @ fd)) <= 1e-5
 
     def test_near_surface_flagged(self, circle_truncated):
-        z = [math.sqrt(1.0 + 1e-13), 0.0]  # H - E ~ 5e-14, outside branch
-        with pytest.warns(NearSurfaceGradient):
-            out = grad_chi(z, circle_truncated)
-        assert np.array_equal(out, [0.0, 0.0])
+        z = [math.sqrt(1.0 + 1e-13), 0.0]  # H - E ~ 5e-14, just outside the surface
+        # within the inner half-shell: the plateau field, no cutoff gradient
+        field, _ = hamiltonian_field(z, circle_truncated)
+        assert field == (standard_J(1) @ circle_truncated.ell.H.M @ z).tolist()
 
 
 class TestTruncatedValue:
@@ -98,19 +111,18 @@ class TestTruncatedValue:
             TruncatedHamiltonian(unit_circle, 0.0)
 
     def test_interior_value(self, circle_truncated):
-        assert truncated_hamiltonian_value([0.1, 0.0], circle_truncated) == pytest.approx(
-            0.005, abs=1e-15
-        )
+        h = hamiltonian_field([0.1, 0.0], circle_truncated)[1]
+        assert h == pytest.approx(0.005, abs=1e-15)
 
     def test_outside_support(self, circle_truncated):
-        assert truncated_hamiltonian_value([3.0, 0.0], circle_truncated) == 0.0
+        assert hamiltonian_field([3.0, 0.0], circle_truncated)[1] == 0.0
 
     def test_mid_shell_cross_check(self, circle_truncated):
         z = [1.22, 0.05]
-        c = chi(z, circle_truncated)
+        c = cutoff(z, circle_truncated)
         assert 0.0 < c < 1.0
         expect = circle_truncated.ell.H.value(z) * c
-        assert truncated_hamiltonian_value(z, circle_truncated) == pytest.approx(expect)
+        assert hamiltonian_field(z, circle_truncated)[1] == pytest.approx(expect)
 
 
 class TestIntegrateFlow:
@@ -144,7 +156,7 @@ class TestIntegrateFlow:
         count = 0
         while count < 1000:
             z = rng.uniform(-4.0, 4.0, size=2)
-            if chi(z, circle_truncated) != 0.0:
+            if cutoff(z, circle_truncated) != 0.0:
                 continue
             out = integrate_flow(z, circle_truncated, 0.5, 1e-2)
             assert np.array_equal(out, z)
@@ -153,9 +165,9 @@ class TestIntegrateFlow:
     def test_energy_conservation_along_trajectories(self, circle_truncated):
         # starts away from the transition endpoints, including mid-shell
         for z0, t in [([0.4, 0.1], 2 * math.pi), ([1.02, 0.0], 2.0), ([1.225, 0.0], 1.0)]:
-            h0 = truncated_hamiltonian_value(z0, circle_truncated)
+            h0 = hamiltonian_field(z0, circle_truncated)[1]
             out = integrate_flow(z0, circle_truncated, t, 1e-3)
-            h1 = truncated_hamiltonian_value(out, circle_truncated)
+            h1 = hamiltonian_field(out, circle_truncated)[1]
             assert abs(h1 - h0) <= 1e-6 * (1.0 + abs(h0))
 
     def test_interior_linearity_full_period(self, circle_truncated, unit_circle):
@@ -222,7 +234,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("kind", STARTS)
     def test_h_column_is_truncated_value_of_each_row(self, circle_truncated, kind):
         _, pts, hvals = flow_trajectory(STARTS[kind], circle_truncated, 0.05, 1e-3)
-        expect = [truncated_hamiltonian_value(z, circle_truncated) for z in pts]
+        expect = [hamiltonian_field(z, circle_truncated)[1] for z in pts]
         assert np.array_equal(hvals, expect)
 
     @pytest.mark.parametrize("kind", STARTS)
@@ -361,8 +373,7 @@ class TestWrongLengthPoints:
         z = STARTS[kind] + [0.0]
         if not as_list:
             z = np.array(z)
-        for f in (chi, grad_chi, truncated_hamiltonian_value, hamiltonian_field):
-            with pytest.raises(ValueError, match="dimension"):
-                f(z, circle_truncated)
+        with pytest.raises(ValueError, match="dimension"):
+            hamiltonian_field(z, circle_truncated)
         with pytest.raises(ValueError, match="dimension"):
             flow_trajectory(z, circle_truncated, 0.5, 1e-2)

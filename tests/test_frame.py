@@ -36,7 +36,7 @@ REF_GRID = GridSpec.centered(N=128, L=12.0)
 
 def reference_system(grid=REF_GRID, box=((-6, 6), (-6, 6))):
     phi = gaussian_window(1j, grid)
-    P = separable_lattice(ALPHA, ALPHA, Box.from_pairs(box), 1)
+    P = separable_lattice(ALPHA, ALPHA, Box.from_pairs(box))
     return GaborSystem(phi, P, grid)
 
 
@@ -81,7 +81,7 @@ class TestAnalysis:
     def test_shape(self):
         g = GridSpec.centered(N=1024, L=16.0)
         phi = gaussian_window(1j, g)
-        P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2.5, 2.5], [-2.5, 2.5]]), 1)
+        P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2.5, 2.5], [-2.5, 2.5]]))
         D = analysis_matrix(GaborSystem(phi, P, g))
         assert D.shape == (25, 1024)
 
@@ -262,7 +262,7 @@ class TestEllipsoidDeform:
     def test_nothing_enclosed_still_transports_window(self):
         grid = REF_GRID
         phi = gaussian_window(1j, grid)
-        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[0.5, 5], [0.5, 5]]), 1)
+        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[0.5, 5], [0.5, 5]]))
         sys0 = GaborSystem(phi, P, grid)
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.05)
         t = 0.8
@@ -376,7 +376,7 @@ class TestEllipsoidSweep:
         # |q| reaches 2.83 > L/2 = 2 on the fixed points; the enclosed ones
         # stay inside the box, so only a check of the whole set warns
         g = GridSpec.centered(N=64, L=4.0)
-        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]), 1)
+        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]))
         with pytest.warns(UserWarning, match="wrap"):
             sysW = GaborSystem(gaussian_window(1j, g), P, g)
         ell = Ellipsoid(ANISOTROPIC, 0.5)
@@ -403,7 +403,7 @@ class TestEllipsoidSweep:
         # count from tracemalloc.start, so the warm one includes the cached
         # eigenfactors that the cold sweep adds.
         g = GridSpec.centered(N=256, L=16.0)
-        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]), 1)
+        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]))
         sysM = GaborSystem(gaussian_window(1j, g), P, g)
         ells = [Ellipsoid(ANISOTROPIC, 1.0)]
         ts = [0.0, 0.4, 1.1]

@@ -45,6 +45,10 @@ class TestBox:
         with pytest.raises(ValueError, match="even"):
             Box(np.array([0.0]), np.array([1.0]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="lower < upper"):
+            Box.from_pairs([[math.nan, 1.0], [0.0, 1.0]])
+
 
 class TestPointSet:
     def test_separation_enforced(self):
@@ -104,25 +108,25 @@ class TestNearestDistance:
 
 class TestSeparableLattice:
     def test_unit_lattice_count(self):
-        P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2.5, 2.5], [-2.5, 2.5]]), 1)
+        P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2.5, 2.5], [-2.5, 2.5]]))
         assert len(P) == 25
         assert P.delta == 1.0
 
     def test_mixed_spacing_count(self):
-        P = separable_lattice(1.0, 2.0, Box.from_pairs([[-2.5, 2.5], [-2.5, 2.5]]), 1)
+        P = separable_lattice(1.0, 2.0, Box.from_pairs([[-2.5, 2.5], [-2.5, 2.5]]))
         assert len(P) == 15  # 5 x 3
         assert P.delta == 1.0
 
     def test_scaled_lattice_by_enumeration(self):
         a = 2.0 ** -0.5
-        P = separable_lattice(a, a, Box.from_pairs([[-2, 2], [-2, 2]]), 1)
+        P = separable_lattice(a, a, Box.from_pairs([[-2, 2], [-2, 2]]))
         # oracle: enumerate indices k with |k * a| <= 2, i.e. k in -2..2
         ks = [k for k in range(-10, 11) if abs(k * a) <= 2.0 + 1e-12]
         assert len(P) == len(ks) ** 2 == 25
 
     def test_empty_intersection_flagged(self):
         with pytest.warns(UserWarning, match="no lattice points"):
-            P = separable_lattice(10.0, 10.0, Box.from_pairs([[1.0, 2.0], [1.0, 2.0]]), 1)
+            P = separable_lattice(10.0, 10.0, Box.from_pairs([[1.0, 2.0], [1.0, 2.0]]))
         assert len(P) == 0
 
 
@@ -157,6 +161,11 @@ class TestClassifyPoints:
         assert sizes == len(z2_lattice)
         all_idx = np.concatenate([classes.interior, classes.boundary, classes.exterior])
         assert len(np.unique(all_idx)) == len(z2_lattice)
+
+    def test_rejects_nan_boundary_tol(self, z2_lattice, unit_circle):
+        # a NaN band would put every point in no class at all
+        with pytest.raises(ValueError, match="boundary_tol"):
+            classify_points(z2_lattice, unit_circle, math.nan)
 
 
 class TestDistanceToEllipsoid:
@@ -240,7 +249,7 @@ class TestDistanceToEllipsoid:
         pts = list(radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1))
         # the 7th sample of TestGradChi.test_matches_finite_differences, where
         # the cutoff's finite-difference quotient used to miss its bound, and
-        # the stencil points chi is evaluated at there
+        # the stencil points its truncated H is evaluated at there
         fd_rng = np.random.default_rng(5)
         for _ in range(7):
             r = fd_rng.uniform(1.16, 1.29)
@@ -466,7 +475,7 @@ class TestMaxSafeEpsilon:
     def test_deformation_lattice_closed_form(self, E):
         # the lattice and circles of the mixed deformation sweep
         a = 2.0 ** -0.5
-        P = separable_lattice(a, a, Box.from_pairs([[-6, 6], [-6, 6]]), 1)
+        P = separable_lattice(a, a, Box.from_pairs([[-6, 6], [-6, 6]]))
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), E)
         off = np.abs(ell.H.values(P.points) - E) > 1e-9 * E
         radii = np.hypot(P.points[off, 0], P.points[off, 1])
@@ -503,7 +512,7 @@ class TestDeformPointSet:
 
     def test_nothing_enclosed_nothing_moves(self):
         # quadrant lattice avoiding the origin; tiny ellipsoid encloses nothing
-        P = separable_lattice(1.0, 1.0, Box.from_pairs([[0.5, 3], [0.5, 3]]), 1)
+        P = separable_lattice(1.0, 1.0, Box.from_pairs([[0.5, 3], [0.5, 3]]))
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.05)
         out = deform_point_set(P, ell, 1.3)
         assert out is P

@@ -72,6 +72,10 @@ class TestQuantizeQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             quantize_quadratic(np.array([[1.0, 0.1], [0.0, 1.0]]), SMALL)
 
+    def test_rejects_nan_off_diagonal(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            quantize_quadratic(np.array([[1.0, math.nan], [math.nan, 1.0]]), SMALL)
+
     @pytest.mark.parametrize("N", [16, 64])
     @pytest.mark.parametrize(
         "M",
@@ -138,6 +142,20 @@ class TestMetaplecticLift:
         metaplectic_lift(M, 0.2, g)
         with pytest.raises(ValueError, match="2x2"):
             metaplectic_lift(M.ravel(), 0.2, g)
+
+    def test_rejects_nan_off_diagonal(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            metaplectic_lift([[1.0, math.nan], [math.nan, 1.0]], 0.2, SMALL)
+
+    def test_nan_generator_is_not_cached(self, monkeypatch):
+        # the unitarity defect of NaN eigenfactors is NaN, which compares false
+        from collections import OrderedDict
+
+        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
+        g = GridSpec.centered(N=32, L=8.0)
+        with pytest.raises(np.linalg.LinAlgError, match="not unitary"):
+            metaplectic_lift([[math.nan, 0.0], [0.0, 1.0]], 0.2, g)
+        assert len(metaplectic._eig_cache) == 0
 
     def test_signed_zero_spellings_share_one_cache_entry(self, monkeypatch):
         from collections import OrderedDict

@@ -86,7 +86,7 @@ def test_every_deformed_solve_runs_through_the_traced_names():
     from gaborflow.symplectic import QuadraticHamiltonian
 
     g = GridSpec.centered(N=64, L=8.0)
-    P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2, 2], [-2, 2]]), 1)
+    P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2, 2], [-2, 2]]))
     sys_ = frame.GaborSystem(gaussian_window(1j, g), P, g)
     H = QuadraticHamiltonian(np.diag([1.0, 2.0]))
     ells = [Ellipsoid(H, 0.01), Ellipsoid(H, 1.5)]

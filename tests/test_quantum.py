@@ -15,7 +15,7 @@ from gaborflow.quantum import (
     norm,
     save_state,
 )
-from gaborflow.symplectic import symplectic_form
+from gaborflow.symplectic import standard_J
 
 GRID = GridSpec.centered(N=256, L=16.0)
 
@@ -89,7 +89,7 @@ class TestHeisenberg:
             z0 = rng.uniform(-10 * GRID.dx, 10 * GRID.dx, 2)
             z1 = rng.uniform(-10 * GRID.dx, 10 * GRID.dx, 2)
             lhs = heisenberg(z0, heisenberg(z1, phi, GRID), GRID).values
-            phase = np.exp(0.5j * symplectic_form(z0, z1) / GRID.hbar)
+            phase = np.exp(0.5j * ((standard_J(1) @ z0) @ z1) / GRID.hbar)
             rhs = phase * heisenberg(z0 + z1, phi, GRID).values
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
