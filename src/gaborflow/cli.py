@@ -51,11 +51,7 @@ def _write_csv(path: Path, header, rows, timestamp: bool) -> None:
 def _load_config(args):
     from .config import ScenarioConfig
 
-    cfg = (
-        ScenarioConfig.from_json_file(args.config)
-        if args.config
-        else ScenarioConfig.default()
-    )
+    cfg = ScenarioConfig.from_json_file(args.config) if args.config else ScenarioConfig()
     cfg.apply_overrides(args.override or [])
     return cfg
 
@@ -124,7 +120,7 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from .lattice import classify_points
+    from .lattice import enclosed_indices
 
     cfg = _load_config(args)
     P = cfg.build_lattice()
@@ -132,8 +128,7 @@ def cmd_count(args) -> int:
     rows = []
     for E in cfg.energy_sweep():
         # the enclosed set, surface included: the points that deform moves
-        inside = classify_points(P, cfg.build_ellipsoid(E), boundary_tol).inside
-        rows.append((E, len(inside)))
+        rows.append((E, len(enclosed_indices(P, cfg.build_ellipsoid(E), boundary_tol))))
     _write_csv(_outdir(args) / "count.csv", ("E", "count"), rows, not args.no_timestamp)
     for E, c in rows:
         print(f"E={_fmt(E)} count={c}")

@@ -37,6 +37,15 @@ class ConfigError(Exception):
     """Invalid scenario configuration."""
 
 
+def _finite(value) -> float:
+    """A config number as a float.  NaN and +-inf raise the ValueError that
+    the builders report as a config error."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
+
+
 @dataclass
 class GridConfig:
     N: int = 128
@@ -98,7 +107,8 @@ class TolerancesConfig:
 
 @dataclass
 class ScenarioConfig:
-    """Top-level experiment description; see ``ScenarioConfig.default``."""
+    """Top-level experiment description; ``ScenarioConfig()`` is the default
+    scenario."""
 
     grid: GridConfig = field(default_factory=GridConfig)
     window: WindowConfig = field(default_factory=WindowConfig)
@@ -108,10 +118,6 @@ class ScenarioConfig:
     flow: FlowRunConfig = field(default_factory=FlowRunConfig)
     covariance: CovarianceConfig = field(default_factory=CovarianceConfig)
     tolerances: TolerancesConfig = field(default_factory=TolerancesConfig)
-
-    @classmethod
-    def default(cls) -> "ScenarioConfig":
-        return cls()
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -169,10 +175,10 @@ class ScenarioConfig:
         try:
             return GridSpec.centered(
                 N=int(N if N is not None else self.grid.N),
-                L=float(self.grid.L),
-                hbar=float(self.grid.hbar),
+                L=_finite(self.grid.L),
+                hbar=_finite(self.grid.hbar),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid grid: {exc}") from exc
 
     def build_window(self, g: GridSpec) -> State:
@@ -183,7 +189,7 @@ class ScenarioConfig:
                     raise ConfigError("window file grid does not match scenario grid")
                 w = norm(psi, g)
                 return State(psi.values / w)
-            gamma = complex(float(self.window.gamma[0]), float(self.window.gamma[1]))
+            gamma = complex(_finite(self.window.gamma[0]), _finite(self.window.gamma[1]))
             return gaussian_window(gamma, g)
         except ConfigError:
             raise
@@ -192,8 +198,8 @@ class ScenarioConfig:
 
     def build_lattice(self) -> PointSet:
         try:
-            box = Box.from_pairs(self.lattice.box)
-            return separable_lattice(float(self.lattice.alpha), float(self.lattice.beta), box)
+            box = Box.from_pairs([[_finite(v) for v in pair] for pair in self.lattice.box])
+            return separable_lattice(_finite(self.lattice.alpha), _finite(self.lattice.beta), box)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid lattice: {exc}") from exc
 
@@ -203,22 +209,22 @@ class ScenarioConfig:
         if not values:
             raise ConfigError("ellipsoid energies must not be empty")
         try:
-            return [float(v) for v in values]
+            return [_finite(v) for v in values]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid ellipsoid energies: {E!r}") from exc
 
     def build_ellipsoid(self, E: float | None = None) -> Ellipsoid:
         try:
-            M = np.asarray(self.ellipsoid.M, dtype=float)
+            M = np.array([[_finite(v) for v in row] for row in self.ellipsoid.M])
             H = QuadraticHamiltonian(M)
-            energy = float(E) if E is not None else self.energy_sweep()[0]
+            energy = _finite(E) if E is not None else self.energy_sweep()[0]
             return Ellipsoid(H, energy)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid ellipsoid: {exc}") from exc
 
     def t_values(self) -> list[float]:
         try:
-            return [float(t) for t in self.deformation.t_values]
+            return [_finite(t) for t in self.deformation.t_values]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid deformation t values: {exc}") from exc
 
@@ -228,17 +234,23 @@ class ScenarioConfig:
         it against the ellipsoid."""
         flow = self.flow
         try:
-            th = TruncatedHamiltonian(self.build_ellipsoid(), float(flow.eps))
-            return th, [float(v) for v in flow.z0], float(flow.t), float(flow.dt_max)
+            th = TruncatedHamiltonian(self.build_ellipsoid(), _finite(flow.eps))
+            return th, [_finite(v) for v in flow.z0], _finite(flow.t), _finite(flow.dt_max)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid flow: {exc}") from exc
 
     def tolerance_values(self) -> tuple[float, float]:
-        """(boundary_tol, eps_max) as floats."""
+        """(boundary_tol, eps_max) as floats, boundary_tol >= 0 and the cap
+        eps_max > 0."""
         try:
-            return float(self.tolerances.boundary_tol), float(self.tolerances.eps_max)
+            boundary_tol = _finite(self.tolerances.boundary_tol)
+            eps_max = _finite(self.tolerances.eps_max)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid tolerances: {exc}") from exc
+        if not (boundary_tol >= 0.0 and eps_max > 0.0):
+            raise ConfigError(f"invalid tolerances: need boundary_tol >= 0 and eps_max > 0, "
+                              f"got {boundary_tol!r} and {eps_max!r}")
+        return boundary_tol, eps_max
 
     def covariance_grids(self) -> list[int]:
         """The grid sizes N to compare, the scenario grid's when none is set."""
@@ -246,12 +258,12 @@ class ScenarioConfig:
             return [self.build_grid().N]
         try:
             return [int(n) for n in self.covariance.grids]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid covariance grids: {exc}") from exc
 
     def covariance_cases(self) -> list[tuple[float, float, float]]:
         """The covariance cases as (t, q, p) triples."""
         try:
-            return [(float(t), float(q), float(p)) for t, q, p in self.covariance.cases]
+            return [(_finite(t), _finite(q), _finite(p)) for t, q, p in self.covariance.cases]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid covariance cases: {exc}") from exc

@@ -19,8 +19,8 @@ import numpy as np
 from .lattice import (
     Ellipsoid,
     PointSet,
-    classify_points,
     distance_to_ellipsoid,
+    enclosed_indices,
     off_surface_distances,
 )
 from .symplectic import _dot, _floats, flow_matrix
@@ -255,7 +255,8 @@ def verify_truncated_flow(
             f"eps={eps:g} exceeds the safe thickening radius: points inside "
             f"the shell: {P.points[offenders].tolist()}"
         )
-    enclosed = np.isin(np.arange(len(P)), classify_points(P, ell).inside)
+    enclosed = np.zeros(len(P), dtype=bool)
+    enclosed[enclosed_indices(P, ell)] = True
     S = flow_matrix(ell.H, t).S
     devs = np.zeros(len(P))
     moved = fixed = 0

@@ -23,9 +23,9 @@ from .lattice import (
     BOUNDARY_TOL_DEFAULT,
     Ellipsoid,
     PointSet,
-    classify_points,
+    deform_point_set,
+    enclosed_indices,
     max_safe_epsilon,
-    move_points,
 )
 from .metaplectic import metaplectic_lift
 from .quantum import GridSpec, State, apply_heisenberg, heisenberg_factors, norm
@@ -252,10 +252,10 @@ def ellipsoid_sweep(
     bounds0 = frame_bounds(GaborSystem(sys.window, sys.points, g, (fixed, ())))
     for ell in ells:
         eps = max_safe_epsilon(sys.points, ell, boundary_tol)
-        inside = classify_points(sys.points, ell, boundary_tol).inside
+        inside = enclosed_indices(sys.points, ell, boundary_tol)
         for t in ts:
             window = windows[ell.H.M.tobytes(), t]
-            points = move_points(sys.points, inside, ell, t)
+            points = deform_point_set(sys.points, inside, ell, t)
             if t == 0.0:
                 new_sys, bounds1 = GaborSystem(window, points, g), bounds0
             else:

@@ -5,8 +5,9 @@ The central objects are a finite delta-separated point set standing in for a
 lattice and an ellipsoid {H = E} given by a positive definite quadratic
 Hamiltonian.  ``max_safe_epsilon`` returns the largest thickening radius of
 the ellipsoid surface that captures no lattice points beyond those already on
-the surface; ``deform_point_set`` moves the enclosed points along the exact
-linear flow and leaves the rest untouched.
+the surface; ``enclosed_indices`` finds the points on or inside the surface
+and ``deform_point_set`` moves them along the exact linear flow, leaving the
+rest untouched.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ __all__ = [
     "Box",
     "PointSet",
     "Ellipsoid",
-    "PointClasses",
     "ProjectionError",
     "separable_lattice",
-    "classify_points",
+    "enclosed_indices",
     "distance_to_ellipsoid",
     "off_surface_distances",
     "max_safe_epsilon",
     "deform_point_set",
-    "move_points",
 ]
 
 BOUNDARY_TOL_DEFAULT = 1e-9
@@ -107,14 +106,13 @@ class PointSet:
 
     ``points`` is an (m, 2n) array; ``delta`` is a lower bound on pairwise
     distances, checked exhaustively at construction (O(m^2), fine at desk
-    scale).  ``collision_warning`` is set by ``deform_point_set`` when a moved
-    point lands within the collision tolerance of another point; such sets
-    bypass the separation check and carry the measured minimum distance.
+    scale).  ``deform_point_set`` builds its result without the check and
+    gives it the measured minimum distance when a moved point lands within
+    the collision tolerance of another point.
     """
 
     points: np.ndarray
     delta: float
-    collision_warning: bool = False
     _checked: bool = True
 
     def __post_init__(self):
@@ -139,8 +137,8 @@ class PointSet:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def _trusted(cls, points, delta, collision_warning=False) -> "PointSet":
-        return cls(points, delta, collision_warning, _checked=False)
+    def _trusted(cls, points, delta) -> "PointSet":
+        return cls(points, delta, _checked=False)
 
     @property
     def dim(self) -> int:
@@ -170,9 +168,6 @@ class Ellipsoid:
     def dim(self) -> int:
         return self.H.dim
 
-    def value(self, z) -> float:
-        return self.H.value(z)
-
     @cached_property
     def inner_radius(self) -> float:
         """Smallest semi-axis sqrt(2E / mu_max)."""
@@ -187,20 +182,6 @@ class Ellipsoid:
     def gradient_floor(self) -> float:
         """Lower bound on |grad H| anywhere on or outside the surface."""
         return self.H.min_eigenvalue * self.inner_radius
-
-
-@dataclass(frozen=True, eq=False)
-class PointClasses:
-    """Index partition of a point set relative to an ellipsoid."""
-
-    interior: np.ndarray
-    boundary: np.ndarray
-    exterior: np.ndarray
-
-    @property
-    def inside(self) -> np.ndarray:
-        """Indices of the enclosed set F = interior plus boundary."""
-        return np.concatenate([self.interior, self.boundary])
 
 
 def separable_lattice(alpha: float, beta: float, box: Box) -> PointSet:
@@ -231,27 +212,25 @@ def separable_lattice(alpha: float, beta: float, box: Box) -> PointSet:
     return PointSet(pts, min(alpha, beta))
 
 
-def classify_points(
-    P: PointSet, ell: Ellipsoid, boundary_tol: float = BOUNDARY_TOL_DEFAULT
-) -> PointClasses:
-    """Partition P into interior / boundary / exterior of the ellipsoid.
-
-    A point is interior iff H(z) < E*(1 - boundary_tol), boundary iff
-    |H(z) - E| <= boundary_tol*E, exterior otherwise.  The tolerance is
-    relative to E because lattice coordinates held as doubles make exact
-    incidence fragile.
-    """
+def _surface_band(P: PointSet, ell: Ellipsoid, boundary_tol: float):
+    """H at the points of P and the mask of those on the surface,
+    |H(z) - E| <= boundary_tol*E.  The tolerance is relative to E because
+    lattice coordinates held as doubles make exact incidence fragile."""
     if P.dim != ell.dim:
         raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
     if not (boundary_tol >= 0.0):
         raise ValueError("boundary_tol must be >= 0")
     vals = ell.H.values(P.points) if len(P) else np.empty(0)
-    band = boundary_tol * ell.E
-    idx = np.arange(len(P))
-    boundary = idx[np.abs(vals - ell.E) <= band]
-    interior = idx[vals < ell.E - band]
-    exterior = idx[vals > ell.E + band]
-    return PointClasses(interior=interior, boundary=boundary, exterior=exterior)
+    return vals, np.abs(vals - ell.E) <= boundary_tol * ell.E
+
+
+def enclosed_indices(
+    P: PointSet, ell: Ellipsoid, boundary_tol: float = BOUNDARY_TOL_DEFAULT
+) -> np.ndarray:
+    """Ascending indices of the enclosed set of P: the points on the surface
+    and those inside it, H(z) < E*(1 - boundary_tol)."""
+    vals, on = _surface_band(P, ell, boundary_tol)
+    return np.nonzero(on | (vals < ell.E - boundary_tol * ell.E))[0]
 
 
 def _secular_root(psi, lo, hi):
@@ -408,10 +387,7 @@ def off_surface_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the points of P off the surface, |H(z) - E| > boundary_tol*E,
     in ascending order, and their distances to the surface."""
-    if P.dim != ell.dim:
-        raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
-    off = np.abs(ell.H.values(P.points) - ell.E) > boundary_tol * ell.E
-    idx = np.nonzero(off)[0]
+    idx = np.nonzero(~_surface_band(P, ell, boundary_tol)[1])[0]
     return idx, np.array([distance_to_ellipsoid(P.points[i], ell)[0] for i in idx])
 
 
@@ -435,41 +411,21 @@ def max_safe_epsilon(
 
 def deform_point_set(
     P: PointSet,
-    ell: Ellipsoid,
-    t: float,
-    boundary_tol: float = BOUNDARY_TOL_DEFAULT,
-    collision_tol: float = COLLISION_TOL_DEFAULT,
-) -> PointSet:
-    """Move the enclosed points along the flow of the ellipsoid Hamiltonian.
-
-    Returns (P minus F) union S_t(F) where F is the enclosed set (interior
-    plus boundary) and S_t = exp(t J M).  Exterior points keep bitwise-equal
-    coordinates.  Surface points stay on the surface because it is an energy
-    level set of the driving Hamiltonian.
-
-    If a moved point lands within ``collision_tol`` of any other point the
-    result is flagged (``collision_warning=True``) instead of failing, and the
-    certified separation is lowered to the measured minimum distance.
-    """
-    if P.dim != ell.dim:
-        raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
-    if len(P) == 0:
-        return P
-    return move_points(P, classify_points(P, ell, boundary_tol).inside, ell, t, collision_tol)
-
-
-def move_points(
-    P: PointSet,
     moved: np.ndarray,
     ell: Ellipsoid,
     t: float,
     collision_tol: float = COLLISION_TOL_DEFAULT,
 ) -> PointSet:
-    """Move the points at indices ``moved`` by S_t = exp(t J M) of the
-    ellipsoid Hamiltonian; the rest keep bitwise-equal coordinates.
+    """Move the points at indices ``moved`` along the flow S_t = exp(t J M)
+    of the ellipsoid Hamiltonian; the rest keep bitwise-equal coordinates.
 
-    This is ``deform_point_set`` for an enclosed set classified beforehand,
-    so that a time sweep classifies once.  Collisions are flagged as there.
+    With ``moved = enclosed_indices(P, ell)`` this is (P minus F) union
+    S_t(F), F the enclosed set.  Surface points stay on the surface because
+    it is an energy level set of the driving Hamiltonian.
+
+    If a moved point lands within ``collision_tol`` of any other point, a
+    warning is issued instead of failing, and the certified separation is
+    lowered to the measured minimum distance.
     """
     if moved.size == 0:
         return P
@@ -481,13 +437,11 @@ def move_points(
         dmin = _nearest_distance(new_pts, moved)
     else:
         dmin = P.delta
-    collided = dmin < collision_tol
-    if collided:
+    if dmin < collision_tol:
         warnings.warn(
             f"deform_point_set: moved point within {collision_tol:g} of another point "
-            f"(min distance {dmin:.3e}); result flagged",
+            f"(min distance {dmin:.3e}); separation lowered",
             stacklevel=2,
         )
     delta_new = min(P.delta, dmin) if dmin > 0.0 else P.delta
-    return PointSet._trusted(new_pts, delta_new, collision_warning=collided)
-
+    return PointSet._trusted(new_pts, delta_new)

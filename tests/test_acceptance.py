@@ -159,7 +159,7 @@ def test_criterion_3_truncated_flow(z2_lattice, unit_circle):
     for z in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]):
         out = integrate_flow(z, th, 2.0, 1e-3)
         worst_energy = max(
-            worst_energy, abs(unit_circle.value(out) - unit_circle.E)
+            worst_energy, abs(unit_circle.H.value(out) - unit_circle.E)
         )
     ok = (
         worst_fixed == 0.0

@@ -30,7 +30,7 @@ def small_config(tmp_path):
 
 class TestScenarioConfig:
     def test_defaults_build(self):
-        cfg = ScenarioConfig.default()
+        cfg = ScenarioConfig()
         g = cfg.build_grid()
         assert g.N == 128
         assert cfg.build_window(g) is not None
@@ -46,13 +46,13 @@ class TestScenarioConfig:
             ScenarioConfig.from_dict({"grid": {"NN": 64}})
 
     def test_overrides(self):
-        cfg = ScenarioConfig.default()
+        cfg = ScenarioConfig()
         cfg.apply_overrides(["grid.N=256", "ellipsoid.E=[0.5,1.0]"])
         assert cfg.build_grid().N == 256
         assert cfg.energy_sweep() == [0.5, 1.0]
 
     def test_bad_override_path(self):
-        cfg = ScenarioConfig.default()
+        cfg = ScenarioConfig()
         with pytest.raises(ConfigError, match="section.key"):
             cfg.apply_overrides(["N=256"])
         with pytest.raises(ConfigError, match="unknown key"):
@@ -66,7 +66,7 @@ class TestScenarioConfig:
     def test_window_file_round_trip(self, tmp_path):
         from gaborflow.quantum import gaussian_window, save_state
 
-        cfg = ScenarioConfig.default()
+        cfg = ScenarioConfig()
         g = cfg.build_grid()
         phi = gaussian_window(2j, g)
         path = tmp_path / "window.bin"
@@ -74,6 +74,9 @@ class TestScenarioConfig:
         cfg.window.file = str(path)
         loaded = cfg.build_window(g)
         assert np.max(np.abs(loaded.values - phi.values)) <= 1e-15
+
+
+EMPTY_BOX = "lattice.box=[[1.5,1.8],[1.5,1.8]]"
 
 
 def run_cli(args):
@@ -283,11 +286,26 @@ class TestCliCommands:
         ("covariance", "covariance.cases=[[1,2]]"),
         ("covariance", 'covariance.grids=["x"]'),
         ("count", "lattice.box=[[-Infinity,1],[0,1]]"),
+        # an empty box, whose eps* is the cap eps_max
+        ("epsilon", f"{EMPTY_BOX} tolerances.eps_max=NaN"),
+        ("epsilon", f"{EMPTY_BOX} tolerances.eps_max=-1"),
+        ("count", "tolerances.boundary_tol=-1"),
+        ("flow", "flow.t=NaN"),
+        ("flow", "flow.dt_max=NaN"),
+        ("flow", "flow.t=Infinity"),
+        ("flow", "flow.z0=[NaN,0]"),
+        ("deform", "deformation.t_values=[NaN]"),
+        ("covariance", "covariance.cases=[[NaN,1,0]]"),
+        ("count", "ellipsoid.E=Infinity"),
+        ("bounds", "grid.N=Infinity"),
+        ("covariance", "covariance.grids=[Infinity]"),
     ])
     def test_malformed_field_exits_2(self, small_config, tmp_path, command, override, capsys):
+        # several overrides are separated by spaces
         out = tmp_path / "out"
+        overrides = [arg for item in override.split() for arg in ("--override", item)]
         code = run_cli([command, "--config", str(small_config), "--out", str(out),
-                        "--no-timestamp", "--override", override])
+                        "--no-timestamp", *overrides])
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))

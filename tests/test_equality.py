@@ -6,7 +6,7 @@ import pytest
 
 from gaborflow.flow import FlowCheckReport, TruncatedHamiltonian
 from gaborflow.frame import DeformationReport, FrameBounds, GaborSystem
-from gaborflow.lattice import Box, Ellipsoid, PointClasses, PointSet
+from gaborflow.lattice import Box, Ellipsoid, PointSet
 from gaborflow.quantum import GridSpec, State, gaussian_window
 from gaborflow.symplectic import QuadraticHamiltonian, SymplecticMatrix
 
@@ -28,7 +28,6 @@ ARRAY_HOLDERS = {
     "State": lambda: State(np.ones(4)),
     "PointSet": _points,
     "Box": lambda: Box.from_pairs([[-1.0, 1.0], [-1.0, 1.0]]),
-    "PointClasses": lambda: PointClasses(np.arange(2), np.arange(0), np.arange(0)),
     "GaborSystem": lambda: GaborSystem(gaussian_window(1j, GRID), _points(), GRID),
     "TruncatedHamiltonian": lambda: TruncatedHamiltonian(_ellipsoid(), 0.3),
     "FlowCheckReport": lambda: FlowCheckReport(0.0, 0.3, 1, 1, 0.0, 0.0, np.zeros(2)),

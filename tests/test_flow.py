@@ -137,7 +137,7 @@ class TestIntegrateFlow:
 
     def test_surface_orbit_conserves_H(self, circle_truncated, unit_circle):
         out = integrate_flow([1.0, 0.0], circle_truncated, 2.0, 1e-3)
-        assert abs(unit_circle.value(out) - unit_circle.E) <= 1e-6 * unit_circle.E
+        assert abs(unit_circle.H.value(out) - unit_circle.E) <= 1e-6 * unit_circle.E
 
     def test_returns_a_float_array(self, circle_truncated):
         out = integrate_flow([1, 0], circle_truncated, 0.01, 1e-3)
@@ -255,7 +255,7 @@ class TestTrajectory:
         k = 20
         _, _, hvals = flow_trajectory(STARTS["shell"], circle_truncated, 0.02, 1e-3)
         # every row lies in the shell, so no step is skipped
-        assert np.all((hvals > 0.0) & (hvals < circle_truncated.ell.value(STARTS["shell"])))
+        assert np.all((hvals > 0.0) & (hvals < circle_truncated.ell.H.value(STARTS["shell"])))
         # four RK4 stages per step, the first of which also gives the row's H
         assert len(calls) == 4 * k + 1
 
@@ -344,7 +344,7 @@ class TestFlowInFourDimensions:
     def test_shell_start_moves_inside_the_shell(self):
         z0 = self.starts()["shell"]
         _, pts, hvals = flow_trajectory(z0, self.th, 1.0, 1e-3)
-        assert np.all((hvals > 0.0) & (hvals < self.ell.value(z0)))
+        assert np.all((hvals > 0.0) & (hvals < self.ell.H.value(z0)))
         assert np.linalg.norm(pts[-1] - z0) > 0.1
 
     def test_plateau_start_follows_the_linear_flow(self):

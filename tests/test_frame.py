@@ -20,8 +20,8 @@ from gaborflow.lattice import (
     Box,
     Ellipsoid,
     PointSet,
-    classify_points,
     deform_point_set,
+    enclosed_indices,
     max_safe_epsilon,
     separable_lattice,
 )
@@ -294,11 +294,12 @@ class TestEllipsoidDeform:
 def per_call_row(sys, ell, t):
     """One deformation report row with nothing hoisted: the sweep's reference."""
     U = metaplectic_lift(ell.H.M, t, sys.grid)
-    new_sys = GaborSystem(U.apply(sys.window), deform_point_set(sys.points, ell, t), sys.grid)
+    inside = enclosed_indices(sys.points, ell)
+    new_sys = GaborSystem(U.apply(sys.window), deform_point_set(sys.points, inside, ell, t),
+                          sys.grid)
     b0, b1 = frame_bounds(sys), frame_bounds(new_sys)
     scale = max(b0.B, b1.B)
-    return (t, ell.E, max_safe_epsilon(sys.points, ell),
-            len(classify_points(sys.points, ell).inside), b0.A, b0.B, b1.A, b1.B,
+    return (t, ell.E, max_safe_epsilon(sys.points, ell), len(inside), b0.A, b0.B, b1.A, b1.B,
             abs(b1.A - b0.A) / max(b0.A, 1e-9 * scale, 1e-300),
             abs(b1.B - b0.B) / max(b0.B, 1e-9 * scale, 1e-300))
 
@@ -369,7 +370,7 @@ class TestEllipsoidSweep:
         ells = [Ellipsoid(ANISOTROPIC, E) for E in (0.3, 2.0)]
         swept = assert_sweep_matches_per_call(sysR, ells, [0.0, 0.4, 1.1])
         assert [rep.moved_count for _, rep in swept[::3]] == [
-            len(classify_points(sysR.points, ell).inside) for ell in ells]
+            len(enclosed_indices(sysR.points, ell)) for ell in ells]
         assert 0 < swept[0][1].moved_count < swept[3][1].moved_count < len(sysR.points)
 
     def test_wrap_around_warns_for_every_deformed_system(self):
@@ -387,7 +388,7 @@ class TestEllipsoidSweep:
                 warnings.simplefilter("always")
                 out, rep = next(sweep)
             messages = [str(w.message) for w in caught]
-            assert np.max(np.abs(out.points.points[classify_points(P, ell).inside, 0])) < 2.0
+            assert np.max(np.abs(out.points.points[enclosed_indices(P, ell), 0])) < 2.0
             assert any("windows wrap around the box" in m for m in messages)
             if t != 0.0:
                 assert any("wrap-around regime" in m for m in messages)

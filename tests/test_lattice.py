@@ -10,12 +10,11 @@ from gaborflow.lattice import (
     Ellipsoid,
     PointSet,
     _secular_root,
-    classify_points,
     deform_point_set,
     distance_to_ellipsoid,
+    enclosed_indices,
     _nearest_distance,
     max_safe_epsilon,
-    move_points,
     off_surface_distances,
     separable_lattice,
 )
@@ -92,7 +91,7 @@ class TestNearestDistance:
             pts = 1.5 * rng.normal(size=(m, 2 * n))
             P = PointSet(pts, delta=brute_nearest(pts, range(m)))
             moved = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
-            out = move_points(P, moved, ell, float(rng.uniform(-3.0, 3.0)))
+            out = deform_point_set(P, moved, ell, float(rng.uniform(-3.0, 3.0)))
             assert_within_ulps(out.delta, min(P.delta, brute_nearest(out.points, moved)))
 
     def test_closest_pair_moved_and_fixed(self, unit_circle):
@@ -100,7 +99,7 @@ class TestNearestDistance:
         # fixed pair (2, 2), (3, 2) keeps the old separation 1
         pts = np.array([[0.5, 0.0], [0.0, -1.3], [2.0, 2.0], [3.0, 2.0]])
         P = PointSet(pts, delta=1.0)
-        out = move_points(P, np.array([0]), unit_circle, math.pi / 2.0)
+        out = deform_point_set(P, np.array([0]), unit_circle, math.pi / 2.0)
         assert out.delta == pytest.approx(0.8, rel=1e-12)
         assert_within_ulps(out.delta, math.dist(out.points[0], pts[1]))
         assert_within_ulps(out.delta, brute_nearest(out.points, range(4)))
@@ -133,8 +132,7 @@ class TestSeparableLattice:
 class TestClassifyPoints:
     def test_radius_1p5_circle(self, z2_lattice):
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 1.125)
-        classes = classify_points(z2_lattice, ell, 1e-9)
-        enclosed = classes.inside
+        enclosed = enclosed_indices(z2_lattice, ell, 1e-9)
         # brute-force oracle over all 49 candidates
         expect = {
             tuple(z) for z in z2_lattice.points if 0.5 * (z[0] ** 2 + z[1] ** 2) <= 1.125
@@ -145,27 +143,36 @@ class TestClassifyPoints:
 
     def test_radius_2_circle_gauss_count(self, z2_lattice):
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 2.0)
-        classes = classify_points(z2_lattice, ell, 1e-9)
-        assert len(classes.inside) == 13
+        assert len(enclosed_indices(z2_lattice, ell, 1e-9)) == 13
 
     def test_unit_circle_split(self, z2_lattice, unit_circle):
-        classes = classify_points(z2_lattice, unit_circle, 1e-9)
-        interior = {tuple(z2_lattice.points[i]) for i in classes.interior}
-        boundary = {tuple(z2_lattice.points[i]) for i in classes.boundary}
-        assert interior == {(0.0, 0.0)}
-        assert boundary == {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
+        # the center inside and four points on the surface
+        on = {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
+        idx = enclosed_indices(z2_lattice, unit_circle, 1e-9)
+        assert {tuple(z) for z in z2_lattice.points[idx]} == on | {(0.0, 0.0)}
+        idx, _ = off_surface_distances(z2_lattice, unit_circle, 1e-9)
+        assert {tuple(z) for z in np.delete(z2_lattice.points, idx, axis=0)} == on
 
     def test_partition_is_exact(self, z2_lattice, unit_circle):
-        classes = classify_points(z2_lattice, unit_circle, 1e-9)
-        sizes = len(classes.interior) + len(classes.boundary) + len(classes.exterior)
-        assert sizes == len(z2_lattice)
-        all_idx = np.concatenate([classes.interior, classes.boundary, classes.exterior])
-        assert len(np.unique(all_idx)) == len(z2_lattice)
+        rng = np.random.default_rng(5)
+        ells = [unit_circle]
+        for _ in range(5):
+            H = QuadraticHamiltonian(np.diag(rng.uniform(0.3, 3.0, 2)))
+            ells.append(Ellipsoid(H, rng.uniform(0.2, 4.0)))
+        for ell in ells:
+            idx = enclosed_indices(z2_lattice, ell, 1e-9)
+            # ascending and unique, and exactly the brute-force enclosed set
+            assert np.all(np.diff(idx) > 0)
+            brute = [i for i, z in enumerate(z2_lattice.points)
+                     if ell.H.value(z) <= ell.E * (1.0 + 1e-9)]
+            assert idx.tolist() == brute
 
     def test_rejects_nan_boundary_tol(self, z2_lattice, unit_circle):
-        # a NaN band would put every point in no class at all
-        with pytest.raises(ValueError, match="boundary_tol"):
-            classify_points(z2_lattice, unit_circle, math.nan)
+        # a NaN band would put every point off the surface and none in the
+        # enclosed set
+        for find in (enclosed_indices, off_surface_distances):
+            with pytest.raises(ValueError, match="boundary_tol"):
+                find(z2_lattice, unit_circle, math.nan)
 
 
 class TestDistanceToEllipsoid:
@@ -184,7 +191,7 @@ class TestDistanceToEllipsoid:
         oracle = surface_sampling_distance([1.0, 1.0], unit_circle)
         assert d == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-10)
         assert d == pytest.approx(oracle, abs=1e-9)
-        assert abs(unit_circle.value(proj) - unit_circle.E) <= 1e-10 * unit_circle.E
+        assert abs(unit_circle.H.value(proj) - unit_circle.E) <= 1e-10 * unit_circle.E
 
     def test_anisotropic_against_sampling(self):
         ell = Ellipsoid(QuadraticHamiltonian(np.diag([4.0, 1.0])), 0.5)
@@ -201,7 +208,7 @@ class TestDistanceToEllipsoid:
         d, proj = distance_to_ellipsoid(z, ell)
         oracle = surface_sampling_distance(z, ell)
         assert d == pytest.approx(oracle, abs=1e-8)
-        assert abs(ell.value(proj) - ell.E) <= 1e-10 * ell.E
+        assert abs(ell.H.value(proj) - ell.E) <= 1e-10 * ell.E
 
     def test_zero_distance_iff_on_surface(self, unit_circle):
         d_on, proj_on = distance_to_ellipsoid([1.0, 0.0], unit_circle)
@@ -272,12 +279,12 @@ class TestDistanceToEllipsoid:
             scale = 1.0 + float(np.linalg.norm(z))
             d, w = distance_to_ellipsoid(z, ell)
             normal = ell.H.M @ w
-            assert abs(ell.value(w) - ell.E) <= 1e-14 * ell.E
+            assert abs(ell.H.value(w) - ell.E) <= 1e-14 * ell.E
             assert abs(d - np.linalg.norm(z - w)) <= 1e-14 * scale
             cross = (z - w)[0] * normal[1] - (z - w)[1] * normal[0]
             assert abs(cross) <= 1e-14 * scale * np.linalg.norm(normal)
             # exterior points project along the outward normal, interior inward
-            assert np.sign((z - w) @ normal) == np.sign(ell.value(z) - ell.E)
+            assert np.sign((z - w) @ normal) == np.sign(ell.H.value(z) - ell.E)
             oracle = float(np.min(np.linalg.norm(surface - z, axis=1)))
             assert d <= oracle + 1e-14 * scale
             assert oracle - d <= 1e-9
@@ -311,7 +318,7 @@ class TestDistanceToEllipsoid:
             d, proj = distance_to_ellipsoid(z, ell)
             scale = 1.0 + float(np.linalg.norm(z))
             assert abs(d - expect) <= 1e-14 * scale, (y, d, expect)
-            assert abs(ell.value(proj) - ell.E) <= 1e-14 * ell.E
+            assert abs(ell.H.value(proj) - ell.E) <= 1e-14 * ell.E
         # the center projects onto an end of the short axis
         _, proj = distance_to_ellipsoid([0.0, 0.0], ell)
         assert np.max(np.abs(np.abs(R.T @ proj) - [0.5, 0.0])) <= 1e-14
@@ -465,7 +472,7 @@ class TestMaxSafeEpsilon:
         # brute-force oracle over all 49 points
         best = math.inf
         for z in z2_lattice.points:
-            if abs(unit_circle.value(z) - unit_circle.E) <= 1e-9 * unit_circle.E:
+            if abs(unit_circle.H.value(z) - unit_circle.E) <= 1e-9 * unit_circle.E:
                 continue
             best = min(best, surface_sampling_distance(z, unit_circle, samples=200_000))
         assert eps == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
@@ -505,21 +512,26 @@ class TestMaxSafeEpsilon:
             assert np.all(on_surface[captured])
 
 
+def deform(P, ell, t, boundary_tol=1e-9, **kw):
+    """Find the enclosed set, then move it: the sweep's two steps."""
+    return deform_point_set(P, enclosed_indices(P, ell, boundary_tol), ell, t, **kw)
+
+
 class TestDeformPointSet:
     def test_zero_time_is_identity(self, z2_lattice, unit_circle):
-        out = deform_point_set(z2_lattice, unit_circle, 0.0)
+        out = deform(z2_lattice, unit_circle, 0.0)
         assert np.array_equal(out.points, z2_lattice.points)
 
     def test_nothing_enclosed_nothing_moves(self):
         # quadrant lattice avoiding the origin; tiny ellipsoid encloses nothing
         P = separable_lattice(1.0, 1.0, Box.from_pairs([[0.5, 3], [0.5, 3]]))
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.05)
-        out = deform_point_set(P, ell, 1.3)
+        out = deform(P, ell, 1.3)
         assert out is P
 
     def test_quarter_turn_maps_enclosed_set_to_itself(self, z2_lattice):
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.72)
-        out = deform_point_set(z2_lattice, ell, math.pi / 2.0)
+        out = deform(z2_lattice, ell, math.pi / 2.0)
         # oracle: apply [[0,1],[-1,0]] to the five enclosed points directly
         R = np.array([[0.0, 1.0], [-1.0, 0.0]])
         expect = {tuple(np.round(z, 12)) for z in z2_lattice.points}
@@ -531,26 +543,26 @@ class TestDeformPointSet:
 
     def test_eighth_turn_moves_boundary_point(self, z2_lattice):
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 0.72)
-        out = deform_point_set(z2_lattice, ell, math.pi / 4.0)
+        out = deform(z2_lattice, ell, math.pi / 4.0)
         s = math.sqrt(2.0) / 2.0
         assert any(np.allclose(z, [s, -s], atol=1e-12) for z in out.points)
         assert len(out) == len(z2_lattice)
 
     def test_exterior_points_bitwise_fixed(self, z2_lattice, unit_circle):
-        out = deform_point_set(z2_lattice, unit_circle, 0.77)
+        out = deform(z2_lattice, unit_circle, 0.77)
         ext = unit_circle.H.values(z2_lattice.points) > unit_circle.E * (1 + 1e-9)
         assert np.array_equal(out.points[ext], z2_lattice.points[ext])
 
     def test_enclosed_points_conserve_H(self, z2_lattice):
         ell = Ellipsoid(QuadraticHamiltonian(np.array([[2.0, 0.5], [0.5, 1.0]])), 1.7)
-        out = deform_point_set(z2_lattice, ell, 1.234)
+        out = deform(z2_lattice, ell, 1.234)
         before = ell.H.values(z2_lattice.points)
         after = ell.H.values(out.points)
         enclosed = before <= ell.E * (1 + 1e-9)
         assert np.all(np.abs(after[enclosed] - before[enclosed]) <= 1e-9 * ell.E)
 
     def test_boundary_points_stay_on_surface(self, z2_lattice, unit_circle):
-        out = deform_point_set(z2_lattice, unit_circle, 0.4)
+        out = deform(z2_lattice, unit_circle, 0.4)
         onb = np.abs(unit_circle.H.values(z2_lattice.points) - 0.5) <= 1e-9 * 0.5
         after = unit_circle.H.values(out.points[onb])
         assert np.all(np.abs(after - 0.5) <= 1e-9 * 0.5)
@@ -558,22 +570,18 @@ class TestDeformPointSet:
     def test_collision_warns_and_flags(self, unit_circle):
         # (1,0) on the surface rotates onto the fixed exterior point near (0,-1)
         P = PointSet(np.array([[1.0, 0.0], [0.0, -1.0 - 1e-7]]), delta=1.0)
-        with pytest.warns(UserWarning, match="flagged"):
-            out = deform_point_set(
-                P, unit_circle, math.pi / 2.0, boundary_tol=1e-12, collision_tol=1e-6
-            )
-        assert out.collision_warning
+        with pytest.warns(UserWarning, match="separation lowered"):
+            out = deform(P, unit_circle, math.pi / 2.0, boundary_tol=1e-12, collision_tol=1e-6)
         assert out.delta <= 2e-7
 
 
 class TestCountInEllipsoid:
     """The count of the enclosed set, surface included, that ``gaborflow count``
-    prints: the inside of ``classify_points``."""
+    prints: the length of ``enclosed_indices``."""
 
     def test_counts(self, z2_lattice):
         H = QuadraticHamiltonian(np.eye(2))
-        counts = [len(classify_points(z2_lattice, Ellipsoid(H, E)).inside)
-                  for E in (0.5, 1.125, 2.0)]
+        counts = [len(enclosed_indices(z2_lattice, Ellipsoid(H, E))) for E in (0.5, 1.125, 2.0)]
         assert counts == [5, 9, 13]
 
     def test_against_brute_force(self, z2_lattice):
@@ -584,4 +592,4 @@ class TestCountInEllipsoid:
             E = rng.uniform(0.3, 4.0)
             ell = Ellipsoid(H, E)
             brute = sum(1 for z in z2_lattice.points if H.value(z) <= E)
-            assert len(classify_points(z2_lattice, ell).inside) == brute
+            assert len(enclosed_indices(z2_lattice, ell)) == brute
