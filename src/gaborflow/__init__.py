@@ -1,31 +1,10 @@
 """Phase-space flows, cutoff Hamiltonians, metaplectic window transport, and
 Gabor frame-bound experiments on a periodized 1-D grid.
 
-Submodules are imported lazily so the command-line front end can configure
-BLAS threading before any numerical library loads.
+The command-line front end, ``gaborflow.cli``, is not imported here, so that
+``python -m gaborflow.cli`` loads it once.
 """
 
-import importlib
+from . import config, flow, frame, lattice, metaplectic, quantum, symplectic  # noqa: F401
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "symplectic",
-    "lattice",
-    "flow",
-    "quantum",
-    "metaplectic",
-    "frame",
-    "config",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

@@ -6,26 +6,29 @@ timestamp header is suppressed with --no-timestamp.  Exit codes: 0 success,
 2 configuration error, 3 numerical or IO failure; any other exception is a
 bug and propagates with its traceback.
 
-Thread control (--threads or the GABOR_THREADS environment variable) is
-applied to the BLAS pools before any numerical module is imported, which is
-why the heavy imports live inside the command functions.  It takes effect
-only at process start: when numpy is already loaded, as for an in-process
-``main`` call, the pools keep their size and a warning goes to stderr.
+BLAS reads its thread count from its own environment variables
+(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``) when numpy loads; set them
+when launching the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
-import os
 import sys
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
+
+from .config import ConfigError, ScenarioConfig
+from .flow import FlowStepError, flow_trajectory
+from .frame import REPORT_COLUMNS, GaborSystem, ellipsoid_sweep, frame_bounds
+from .lattice import ProjectionError, enclosed_indices, max_safe_epsilon
+from .metaplectic import covariance_defect
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(value) -> str:
@@ -49,8 +52,6 @@ def _write_csv(path: Path, header, rows, timestamp: bool) -> None:
 
 
 def _load_config(args):
-    from .config import ScenarioConfig
-
     cfg = ScenarioConfig.from_json_file(args.config) if args.config else ScenarioConfig()
     cfg.apply_overrides(args.override or [])
     return cfg
@@ -63,8 +64,6 @@ def _outdir(args) -> Path:
 
 
 def cmd_bounds(args) -> int:
-    from .frame import GaborSystem, frame_bounds
-
     cfg = _load_config(args)
     g = cfg.build_grid()
     sys_ = GaborSystem(cfg.build_window(g), cfg.build_lattice(), g)
@@ -77,8 +76,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_deform(args) -> int:
-    from .frame import REPORT_COLUMNS, GaborSystem, ellipsoid_sweep
-
     cfg = _load_config(args)
     g = cfg.build_grid()
     sys_ = GaborSystem(cfg.build_window(g), cfg.build_lattice(), g)
@@ -91,8 +88,6 @@ def cmd_deform(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from .flow import flow_trajectory
-
     th, z0, t, dt_max = _load_config(args).build_flow()
     times, pts, hvals = flow_trajectory(z0, th, t, dt_max)
     n = pts.shape[1] // 2
@@ -107,8 +102,6 @@ def cmd_flow(args) -> int:
 
 
 def cmd_epsilon(args) -> int:
-    from .lattice import max_safe_epsilon
-
     cfg = _load_config(args)
     ell = cfg.build_ellipsoid()
     eps = max_safe_epsilon(cfg.build_lattice(), ell, *cfg.tolerance_values())
@@ -120,8 +113,6 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from .lattice import enclosed_indices
-
     cfg = _load_config(args)
     P = cfg.build_lattice()
     boundary_tol = cfg.tolerance_values()[0]
@@ -136,8 +127,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_covariance(args) -> int:
-    from .metaplectic import covariance_defect
-
     cfg = _load_config(args)
     M = cfg.build_ellipsoid().H.M
     grids = cfg.covariance_grids()
@@ -179,45 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: cwd)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="suppress the timestamp header line (reproducible output)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread count, applied only at process start "
-                            "(env GABOR_THREADS as fallback)")
         p.add_argument("--override", action="append", metavar="SECTION.KEY=JSON",
                        help="override a config value, e.g. grid.N=512")
         p.set_defaults(fn=fn)
     return parser
 
 
-def _configure_threads(requested: int | None) -> None:
-    threads = requested
-    if threads is None:
-        env = os.environ.get("GABOR_THREADS")
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise SystemExit(f"GABOR_THREADS must be an integer, got {env!r}")
-    if threads is not None:
-        if threads < 1:
-            raise SystemExit("thread count must be >= 1")
-        for var in _THREAD_VARS:
-            os.environ[var] = str(threads)
-        if "numpy" in sys.modules:
-            # BLAS sizes its thread pool once, when numpy loads
-            print(f"warning: thread count {threads} not applied: numpy is already loaded "
-                  "in this process; set it at process start", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _configure_threads(args.threads)
-
-    from numpy.linalg import LinAlgError
-
-    from .config import ConfigError
-    from .flow import FlowStepError
-    from .lattice import ProjectionError
-
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +39,23 @@ class ConfigError(Exception):
 
 
 def _finite(value) -> float:
-    """A config number as a float.  NaN and +-inf raise the ValueError that
-    the builders report as a config error."""
+    """A config number as a float.  A string, a boolean or any other value
+    that is not a real number raises TypeError; NaN and +-inf raise
+    ValueError.  The builders report both as a config error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
     return x
+
+
+def _integer(value) -> int:
+    """A config count as an int; a non-integral value raises ValueError
+    instead of being truncated."""
+    if not _finite(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -174,7 +186,7 @@ class ScenarioConfig:
     def build_grid(self, N: int | None = None) -> GridSpec:
         try:
             return GridSpec.centered(
-                N=int(N if N is not None else self.grid.N),
+                N=_integer(N if N is not None else self.grid.N),
                 L=_finite(self.grid.L),
                 hbar=_finite(self.grid.hbar),
             )
@@ -189,11 +201,11 @@ class ScenarioConfig:
                     raise ConfigError("window file grid does not match scenario grid")
                 w = norm(psi, g)
                 return State(psi.values / w)
-            gamma = complex(_finite(self.window.gamma[0]), _finite(self.window.gamma[1]))
-            return gaussian_window(gamma, g)
+            real, imag = self.window.gamma  # exactly two entries
+            return gaussian_window(complex(_finite(real), _finite(imag)), g)
         except ConfigError:
             raise
-        except (OSError, TypeError, ValueError, IndexError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid window: {exc}") from exc
 
     def build_lattice(self) -> PointSet:
@@ -235,7 +247,10 @@ class ScenarioConfig:
         flow = self.flow
         try:
             th = TruncatedHamiltonian(self.build_ellipsoid(), _finite(flow.eps))
-            return th, [_finite(v) for v in flow.z0], _finite(flow.t), _finite(flow.dt_max)
+            dt_max = _finite(flow.dt_max)
+            if dt_max <= 0.0:
+                raise ValueError(f"dt_max must be positive, got {dt_max!r}")
+            return th, [_finite(v) for v in flow.z0], _finite(flow.t), dt_max
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid flow: {exc}") from exc
 
@@ -257,7 +272,7 @@ class ScenarioConfig:
         if not self.covariance.grids:
             return [self.build_grid().N]
         try:
-            return [int(n) for n in self.covariance.grids]
+            return [_integer(n) for n in self.covariance.grids]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid covariance grids: {exc}") from exc
 

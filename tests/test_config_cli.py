@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaborflow.cli import _THREAD_VARS, main
+from gaborflow.cli import main
 from gaborflow.config import ConfigError, ScenarioConfig
 
 SMALL_CONFIG = {
@@ -299,6 +298,16 @@ class TestCliCommands:
         ("count", "ellipsoid.E=Infinity"),
         ("bounds", "grid.N=Infinity"),
         ("covariance", "covariance.grids=[Infinity]"),
+        # counts are integers, and numbers are JSON numbers, not strings or booleans
+        ("bounds", "grid.N=64.9"),
+        ("covariance", "covariance.grids=[32.5,64]"),
+        ("bounds", 'grid.L="12"'),
+        ("flow", "flow.t=true"),
+        ("count", 'ellipsoid.E="0.5"'),
+        ("count", 'ellipsoid.M=[["1",0],[0,1]]'),
+        ("flow", "flow.dt_max=0"),
+        ("flow", "flow.dt_max=-1"),
+        ("bounds", "window.gamma=[0,1,7]"),
     ])
     def test_malformed_field_exits_2(self, small_config, tmp_path, command, override, capsys):
         # several overrides are separated by spaces
@@ -377,63 +386,6 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert run_cli(["count", "--config", str(small_config), "--out", str(out)]) == 0
         assert (out / "count.csv").read_text().startswith("# generated ")
-
-
-@pytest.fixture
-def unset_thread_vars(monkeypatch):
-    """Unset the BLAS thread variables for one test; restore them after it.
-
-    ``monkeypatch.delenv`` records nothing for a variable that is not set, so
-    each is set first: undoing then restores the value from before the test,
-    or removes the variable.  The environment must come back unchanged, apart
-    from pytest's own record of the current test.
-    """
-    def environ():
-        return {k: v for k, v in os.environ.items() if k != "PYTEST_CURRENT_TEST"}
-
-    before = environ()
-    for var in _THREAD_VARS:
-        monkeypatch.setenv(var, "1")
-        monkeypatch.delenv(var)
-    yield
-    monkeypatch.undo()
-    assert environ() == before
-
-
-class TestThreadControl:
-    def test_flag_sets_blas_pools(self, unset_thread_vars):
-        from gaborflow.cli import _configure_threads
-
-        _configure_threads(2)
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-    def test_env_fallback(self, unset_thread_vars, monkeypatch):
-        from gaborflow.cli import _configure_threads
-
-        monkeypatch.setenv("GABOR_THREADS", "3")
-        _configure_threads(None)
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-
-    def test_in_process_flag_says_it_is_not_applied(self, small_config, tmp_path, capsys,
-                                                    monkeypatch):
-        # numpy is loaded in this process, so the BLAS pools keep their size
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "2")  # restored after the test
-        out = tmp_path / "out"
-        assert run_cli(["count", "--config", str(small_config), "--out", str(out),
-                        "--no-timestamp", "--threads", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "not applied" in captured.err and "process start" in captured.err
-        assert captured.out == "E=0.5 count=5\n"
-        assert (out / "count.csv").read_text() == "E,count\n0.5,5\n"
-
-    def test_bad_env_rejected(self, monkeypatch):
-        from gaborflow.cli import _configure_threads
-
-        monkeypatch.setenv("GABOR_THREADS", "lots")
-        with pytest.raises(SystemExit):
-            _configure_threads(None)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

@@ -1,10 +1,13 @@
 """Every submodule's ``__all__`` names only what the module defines, and only
 what something runs: the package itself, the benchmark's traced targets or
-the acceptance tests."""
+the acceptance tests.  ``import gaborflow`` loads the numerical submodules,
+and the command-line front end runs as ``python -m gaborflow.cli``."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,20 @@ def test_every_export_has_a_caller(name):
         and not any(x in names for where, names in reads.items() if where != (name, x))
     ]
     assert uncalled == []
+
+
+def test_package_loads_its_submodules_and_the_cli_runs_as_main(tmp_path):
+    # fresh interpreters, so that no other test's imports count
+    numerical = [m for m in MODULES if m != "cli"]
+    script = f"import gaborflow\nprint([getattr(gaborflow, m).__name__ for m in {numerical!r}])"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [f"gaborflow.{m}" for m in numerical]
+    # a package that imported cli would make runpy load it a second time as
+    # __main__, which it reports with a RuntimeWarning
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "gaborflow.cli", "count",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
