@@ -40,11 +40,15 @@ class ConfigError(Exception):
 
 def _finite(value) -> float:
     """A config number as a float.  A string, a boolean or any other value
-    that is not a real number raises TypeError; NaN and +-inf raise
-    ValueError.  The builders report both as a config error."""
+    that is not a real number raises TypeError; NaN, +-inf and an integer
+    too large for a float raise ValueError.  The builders report both as a
+    config error."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ValueError("expected a finite number, got an integer too large for a float") from exc
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
     return x

@@ -3,27 +3,33 @@
 The lift of S_t = exp(t J M) is realized as the quantum propagator
 U_t = exp(-i t H_op / hbar) of the symmetrically quantized quadratic
 Hamiltonian H_op = (1/2)(m11 X^2 + m12 (XP + PX) + m22 P^2).  Functional
-calculus through one Hermitian eigendecomposition makes U_t automatically
+calculus through Hermitian eigendecompositions makes U_t automatically
 unitary and continuous in t through the identity, which selects one of the
-two possible lifts canonically and sidesteps kernel-formula caustics.  The
-closed-form Moebius action on Gaussian parameters serves as an independent
-oracle for the lift.
+two possible lifts canonically and sidesteps kernel-formula caustics.
+
+Every metaplectic operator commutes with the parity psi(x) -> psi(-x),
+because parity lifts -I, which is central in Sp(2, R).  On the grid the
+parity is j -> -j mod N, and H_op is built to commute with it exactly, so
+its eigendecomposition splits into an even and an odd block of half the
+size.  The closed-form Moebius action on Gaussian parameters serves as an
+independent oracle for the lift.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import warnings
 from collections import OrderedDict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quantum import GridSpec, State, gaussian_window, heisenberg
 from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
     "Propagator",
-    "momentum_operator",
     "quantize_quadratic",
     "metaplectic_lift",
     "covariance_defect",
@@ -35,48 +41,166 @@ UNITARITY_TOL = 1e-9
 _PROBE_SEED = 20260314
 _PROBE_COUNT = 8
 _PROBE_SPREAD = 0.4
+_SQRT_HALF = math.sqrt(0.5)
 
 
-def momentum_operator(g: GridSpec) -> np.ndarray:
-    """FFT-conjugated multiplication by the signed discrete momenta."""
-    eye = np.eye(g.N, dtype=complex)
-    return np.fft.ifft(g.momenta()[:, None] * np.fft.fft(eye, axis=0), axis=0)
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Read-only view of the N x N matrix with entries c[(j - k) mod N]."""
+    N = c.size
+    r = np.roll(c[::-1], 1)  # r[k] = c[-k mod N]
+    # row j is the window of (r, r) that starts at N - j
+    return sliding_window_view(np.concatenate((r, r)), N)[N:0:-1]
 
 
 def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
     """Symmetric (Weyl) quantization of H(z) = (1/2) M z . z for n = 1.
 
     Returns the dense N x N matrix of H_op = (1/2)(m11 X^2 + m12 (XP + PX) +
-    m22 P^2).  X is the diagonal of the grid coordinates x, so X^2 is the
-    diagonal of x^2 and XP, PX scale P's rows and columns by x; P^2 is the
-    only matrix product.  It is Hermitian bitwise: the last step replaces H by
-    (H + H^H) / 2, whose (k, j) entry sums the conjugates of the two terms of
-    its (j, k) entry in swapped order, and conjugation and halving are exact
-    in floating point.
+    m22 P^2) on a grid centered on the origin, built from symbol vectors:
+
+    - X^2 is the diagonal of x^2, with x_j = (j - N/2) dx.
+    - P^2 is the real circulant of ifft(p^2), p the signed FFT momenta.
+    - The cross term takes X and P with their self-mirrored modes set to 0:
+      the point x = -L/2 (j = 0) and the Nyquist momentum (j = N/2), as
+      spectral methods do for the Nyquist mode of odd derivatives.  That P
+      is i times the real circulant of imag(ifft(p)).
+
+    Each symbol vector is exactly even or odd under j -> -j mod N (x by its
+    construction, the circulants' vectors by mirroring their first halves),
+    so H commutes with the grid parity bitwise, and it is Hermitian bitwise.
+    H is real when m12 = 0.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"M must be 2x2, got shape {M.shape}")
     if not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
         raise ValueError("M must be symmetric")
-    x = g.xs()
-    P = momentum_operator(g)
-    H = 0.5 * (M[0, 0] * np.diag(x * x) + M[1, 1] * (P @ P))
+    if g.x_min != -g.L / 2.0:
+        raise ValueError("the quantization needs a grid centered on the origin")
+    N, h = g.N, g.N // 2
+    x = g.dx * (np.arange(N) - h)
+    p = g.momenta()
+    c = np.fft.ifft(p * p).real
+    c[h + 1:] = c[h - 1:0:-1]
+    H = M[1, 1] * _circulant(c)
+    H[np.diag_indices(N)] += M[0, 0] * (x * x)
+    H *= 0.5
     if M[0, 1] != 0.0:
-        H = H + 0.5 * M[0, 1] * (x[:, None] * P + P * x)
-    return 0.5 * (H + H.conj().T)
+        x[0] = p[h] = 0.0
+        b = np.fft.ifft(p).imag
+        b[[0, h]] = 0.0
+        b[h + 1:] = -b[h - 1:0:-1]
+        B = _circulant(b)
+        cross = x[:, None] * B
+        cross += B * x
+        cross *= 0.5 * M[0, 1]
+        H = H.astype(complex)
+        H.imag = cross
+    return H
 
 
-# Eigendecompositions are expensive (dense N x N); cache per (M, grid) under a
+def _parity_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The even (N/2 + 1) and odd (N/2 - 1) blocks of a parity-even H, read
+    from its rows 0..N/2.
+
+    They are H in the orthonormal bases of ``_fold``.  Parity gives
+    H[N - j, k] = H[j, N - k], so an even entry is H[j, k] + H[j, N - k] and
+    an odd one H[j, k] - H[j, N - k], 0 < j, k < N/2; an even entry with one
+    self-mirrored index (0 or N/2) is H[j, k] sqrt 2, and one with two is
+    H[j, k].  Both blocks are Hermitian bitwise and have H's dtype.
+    """
+    N = H.shape[0]
+    h = N // 2
+    top = H[:h + 1]
+    mirror = top[:, N - 1:h:-1]  # column N - k for k = 1..h-1
+    even = top[:, :h + 1].copy()
+    even[:, 1:h] += mirror
+    odd = top[1:h, 1:h] - mirror[1:h]
+    even[[0, h], 1:h] *= _SQRT_HALF
+    even[1:h, [0, h]] = even[[0, h], 1:h].conj().T
+    return even, odd
+
+
+def _fold(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the columns of an (N, k) block in the even basis
+    e_0, (e_j + e_{N-j}) / sqrt 2 for 0 < j < N/2, e_{N/2}, and the odd basis
+    (e_j - e_{N-j}) / sqrt 2 for 0 < j < N/2."""
+    N = psi.shape[0]
+    h = N // 2
+    mirror = psi[N - 1:h:-1]
+    even = psi[:h + 1].copy()
+    even[1:h] = (psi[1:h] + mirror) * _SQRT_HALF
+    return even, (psi[1:h] - mirror) * _SQRT_HALF
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The (N, k) block whose ``_fold`` is (even, odd)."""
+    h = even.shape[0] - 1
+    psi = np.empty((2 * h,) + even.shape[1:], dtype=complex)
+    psi[[0, h]] = even[[0, h]]
+    psi[1:h] = (even[1:h] + odd) * _SQRT_HALF
+    psi[:h:-1] = (even[1:h] - odd) * _SQRT_HALF
+    return psi
+
+
+def _dot(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A @ z for a factor A and a C-contiguous complex block z.  A real A
+    multiplies the float view of z, whose 2k columns hold its real and
+    imaginary parts, so A is never cast to complex."""
+    if np.isrealobj(A):
+        return (A @ z.view(np.float64)).view(complex)
+    return A @ z
+
+
+def _evolve(evals: np.ndarray, evecs: np.ndarray, z: np.ndarray, t: float, hbar: float):
+    """V diag(exp(-i t w / hbar)) V^H z for one block's eigenfactors (w, V).
+    V^H z is formed as conj(V^T conj(z)), with V^T a view, so no matrix is
+    copied."""
+    phases = np.exp(-1j * t * evals / hbar)
+    return _dot(evecs, phases[:, None] * _dot(evecs.T, z.conj()).conj())
+
+
+def _factorize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of one Hermitian block, held to the
+    unitarity guard.  A block with a NaN has no eigenbasis: LAPACK then
+    stops without converging or returns NaN eigenvalues, at times beside
+    finite vectors, and either fails the guard."""
+    defect = math.nan
+    try:
+        evals, evecs = np.linalg.eigh(block)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.all(np.isfinite(evals)):
+            gram = evecs.conj().T @ evecs
+            gram[np.diag_indices_from(gram)] -= 1.0
+            defect = float(np.max(np.abs(gram)))
+    if not (defect <= UNITARITY_TOL):
+        raise np.linalg.LinAlgError(
+            f"eigenbasis not unitary within {UNITARITY_TOL}: defect {defect:.3e}"
+        )
+    return evals, evecs
+
+
+# Eigendecompositions are expensive (dense blocks); cache per (M, grid) under a
 # single-writer lock so concurrent readers never observe a partial entry.  The
-# cache is an LRU within a byte budget, room for four N = 2048 factors (about
-# 256 MiB), so that sweeps over many M cannot grow it without limit.
+# cache is an LRU within a byte budget, so that sweeps over many M cannot grow
+# it without limit.  An entry holds the two blocks' factors, about 8 N^2 bytes
+# complex (m12 != 0) or 4 N^2 bytes real; the budget of about 256 MiB, sized
+# for four unsplit complex N = 2048 factors, holds seven complex or fifteen
+# real N = 2048 entries.
 EIG_CACHE_BYTES = 4 * (16 * 2048**2 + 8 * 2048)
 _eig_cache: OrderedDict = OrderedDict()
 _eig_lock = threading.Lock()
 
 
+def _nbytes(blocks) -> int:
+    return sum(w.nbytes + V.nbytes for w, V in blocks)
+
+
 def _eig_factors(M: np.ndarray, g: GridSpec):
+    """The (evals, evecs) of the even and odd parity blocks of M's generator
+    on g, from the cache or factorized once."""
     # + 0.0 turns -0.0 into 0.0, so that both spellings of one M share an entry
     key = ((M + 0.0).tobytes(), g)
     with _eig_lock:
@@ -84,70 +208,71 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
         if got is not None:
             _eig_cache.move_to_end(key)
             return got
-        evals, evecs = np.linalg.eigh(quantize_quadratic(M, g))
-        gram = evecs.conj().T @ evecs
-        gram[np.diag_indices(g.N)] -= 1.0
-        defect = float(np.max(np.abs(gram)))
-        if not (defect <= UNITARITY_TOL):
-            raise np.linalg.LinAlgError(
-                f"eigenbasis not unitary within {UNITARITY_TOL}: defect {defect:.3e}"
-            )
-        _eig_cache[key] = (evals, evecs)
-        held = sum(w.nbytes + V.nbytes for w, V in _eig_cache.values())
+        blocks = tuple(_factorize(b) for b in _parity_blocks(quantize_quadratic(M, g)))
+        _eig_cache[key] = blocks
+        held = sum(map(_nbytes, _eig_cache.values()))
         while held > EIG_CACHE_BYTES and len(_eig_cache) > 1:
-            w, V = _eig_cache.popitem(last=False)[1]
-            held -= w.nbytes + V.nbytes
-        return evals, evecs
+            held -= _nbytes(_eig_cache.popitem(last=False)[1])
+        return blocks
 
 
 class Propagator:
-    """Unitary U_t = exp(-i t H_op / hbar) held in eigenfactor form.
+    """Unitary U_t = exp(-i t H_op / hbar) held as the eigenfactors of the
+    even and odd parity blocks of H_op.
 
-    ``apply`` costs two dense matrix-vector products and copies no matrix:
-    V^H psi is formed as conj(conj(psi) V).  t = 0 is the exact
-    identity, which keeps zero-time deformation experiments bitwise trivial.
+    An apply folds psi into its even and odd parts, applies each block's
+    V diag(exp(-i t w / hbar)) V^H, two half-size products per direction,
+    and unfolds; it copies no matrix.  t = 0 is the exact identity, which
+    keeps zero-time deformation experiments bitwise trivial.
     """
 
-    def __init__(self, evals: np.ndarray, evecs: np.ndarray, t: float, grid: GridSpec):
-        self._evals = evals
-        self._evecs = evecs
+    def __init__(self, blocks, t: float, grid: GridSpec):
+        self._blocks = blocks
         self.t = float(t)
         self.grid = grid
 
-    @property
-    def phases(self) -> np.ndarray:
-        return np.exp(-1j * self.t * self._evals / self.grid.hbar)
-
     def apply(self, psi: State) -> State:
+        return State(self.apply_columns(psi.values[:, None])[:, 0])
+
+    def apply_columns(self, psis: np.ndarray) -> np.ndarray:
+        """U_t applied to every column of an (N, k) block, one product per
+        block factor and direction."""
+        psis = np.asarray(psis, dtype=complex)
         if self.t == 0.0:
-            return State(psi.values)
-        V = self._evecs
-        return State(V @ (self.phases * (psi.values.conj() @ V).conj()))
+            return psis.copy()
+        (we, Ve), (wo, Vo) = self._blocks
+        even, odd = _fold(psis)
+        hbar = self.grid.hbar
+        return _unfold(_evolve(we, Ve, even, self.t, hbar), _evolve(wo, Vo, odd, self.t, hbar))
 
     def inverse(self) -> "Propagator":
-        return Propagator(self._evals, self._evecs, -self.t, self.grid)
+        return Propagator(self._blocks, -self.t, self.grid)
 
 
 def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
     """Lift of the flow exp(t J M) through the identity at t = 0.
 
-    The Hermitian eigendecomposition of the quantized generator is computed
-    once per (M, grid) and reused across t, so sweeps over time are cheap.
+    The parity blocks' eigendecompositions of the quantized generator are
+    computed once per (M, grid) and reused across t, so sweeps over time are
+    cheap.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2) or not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
         raise ValueError("M must be a symmetric 2x2 matrix")
-    evals, evecs = _eig_factors(M, g)
-    return Propagator(evals, evecs, t, g)
+    return Propagator(_eig_factors(M, g), t, g)
 
 
-def _probe_states(g: GridSpec, rng: np.random.Generator) -> list[State]:
+def _probe_block(g: GridSpec) -> np.ndarray:
+    """The fixed seeded probes, concentrated states near the origin, as the
+    columns of an (N, 8) block."""
+    rng = np.random.default_rng(_PROBE_SEED)
     base = gaussian_window(1j, g)
-    probes = []
-    for _ in range(_PROBE_COUNT):
-        w = rng.uniform(-_PROBE_SPREAD, _PROBE_SPREAD, size=2)
-        probes.append(heisenberg(w, base, g))
-    return probes
+    ws = rng.uniform(-_PROBE_SPREAD, _PROBE_SPREAD, size=(_PROBE_COUNT, 2))
+    return np.column_stack([heisenberg(w, base, g).values for w in ws])
+
+
+def _translate_columns(z, psis: np.ndarray, g: GridSpec) -> np.ndarray:
+    return np.column_stack([heisenberg(z, State(v), g).values for v in psis.T])
 
 
 def covariance_defect(M, t: float, z, g: GridSpec) -> float:
@@ -156,8 +281,8 @@ def covariance_defect(M, t: float, z, g: GridSpec) -> float:
     Returns max over a fixed seeded family of concentrated probe states of
     ||U_t T(z) U_t^{-1} psi - T(S_t z) psi|| / ||psi||.  Small values certify
     that conjugating a phase-space translation by the lift matches the
-    translated flow image on the grid in use.  Probes and therefore results
-    are deterministic.
+    translated flow image on the grid in use.  U_t^{-1} and U_t act on the
+    probes as one block.  Probes and therefore results are deterministic.
     """
     zc = np.asarray(z, dtype=float)
     qlim = (g.N / 4) * g.dx
@@ -170,16 +295,11 @@ def covariance_defect(M, t: float, z, g: GridSpec) -> float:
         )
     St = flow_matrix(QuadraticHamiltonian(M), t).S
     U = metaplectic_lift(M, t, g)
-    Uinv = U.inverse()
-    rng = np.random.default_rng(_PROBE_SEED)
-    worst = 0.0
-    for psi in _probe_states(g, rng):
-        lhs = U.apply(heisenberg(zc, Uinv.apply(psi), g))
-        rhs = heisenberg(St @ zc, psi, g)
-        dev = float(np.linalg.norm(lhs.values - rhs.values))
-        ref = float(np.linalg.norm(psi.values))
-        worst = max(worst, dev / ref)
-    return worst
+    probes = _probe_block(g)
+    lhs = U.apply_columns(_translate_columns(zc, U.inverse().apply_columns(probes), g))
+    rhs = _translate_columns(St @ zc, probes, g)
+    dev = np.linalg.norm(lhs - rhs, axis=0) / np.linalg.norm(probes, axis=0)
+    return float(np.max(dev))
 
 
 def gaussian_mobius(Gamma: complex, S: SymplecticMatrix) -> complex:

@@ -1,0 +1,158 @@
+"""Compare the CLI's CSV output of this checkout with that of another revision.
+
+    python tests/compare_csvs.py PARENT_REV
+
+Runs the six subcommands with ``--no-timestamp`` on four configs: the
+built-in default, the tests' ``SMALL_CONFIG`` (read from
+``tests/test_config_cli.py``) and both ``scenarios/*.json``.  It runs them
+once on this checkout's ``src``, uncommitted edits included, and once on
+PARENT_REV's, unpacked with ``git archive`` into a temporary directory.  For
+each CSV it prints "byte-identical" or, per column, the largest absolute and
+relative deviation; a differing exit code or a missing file is printed too.
+
+The bytes depend on the BLAS build, so this is a tool for comparing two
+revisions on one machine, not a test; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import csv
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("bounds", "deform", "flow", "epsilon", "count", "covariance")
+
+
+def _small_config() -> dict:
+    tree = ast.parse((ROOT / "tests" / "test_config_cli.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SMALL_CONFIG" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise SystemExit("tests/test_config_cli.py defines no SMALL_CONFIG")
+
+
+def _configs(workdir: Path) -> dict:
+    """Config name -> path of its JSON file, or None for the built-in default."""
+    small = workdir / "small_config.json"
+    small.write_text(json.dumps(_small_config()))
+    configs = {"default": None, "small_config": small}
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        configs[path.stem] = path
+    return configs
+
+
+def _unpack(rev: str, dest: Path) -> Path:
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return dest / "src"
+
+
+def _run_all(src: Path, configs: dict, out: Path) -> dict:
+    """Run every command on every config; (config, command) -> exit code."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out.mkdir()
+    codes = {}
+    for name, path in configs.items():
+        for cmd in COMMANDS:
+            argv = [sys.executable, "-m", "gaborflow.cli", cmd, "--out",
+                    str(out / name / cmd), "--no-timestamp"]
+            if path is not None:
+                argv += ["--config", str(path)]
+            proc = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
+            codes[name, cmd] = proc.returncode
+    return codes
+
+
+def _rows(path: Path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def _deviation(a: str, b: str):
+    """(absolute, relative) deviation of two numeric cells, None if either
+    is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0, 0.0
+    dev = abs(x - y)
+    return dev, dev / max(abs(x), abs(y))
+
+
+def _compare(new: Path, old: Path) -> list[str]:
+    if new.read_bytes() == old.read_bytes():
+        return ["byte-identical"]
+    (head_new, rows_new), (head_old, rows_old) = _rows(new), _rows(old)
+    if head_new != head_old or len(rows_new) != len(rows_old):
+        return [f"shape differs: {head_new} x {len(rows_new)} rows vs "
+                f"{head_old} x {len(rows_old)} rows"]
+    lines = []
+    for j, col in enumerate(head_new):
+        devs = [_deviation(rn[j], ro[j]) for rn, ro in zip(rows_new, rows_old)]
+        if any(d is None for d in devs):
+            same = all(rn[j] == ro[j] for rn, ro in zip(rows_new, rows_old))
+            lines.append(f"{col}: {'identical' if same else 'text differs'}")
+        elif all(d == (0.0, 0.0) for d in devs):
+            lines.append(f"{col}: identical")
+        else:
+            lines.append(f"{col}: max abs {max(d[0] for d in devs):.3e}, "
+                         f"max rel {max(d[1] for d in devs):.3e}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_rev", metavar="PARENT_REV")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare_csvs-") as tmp:
+        tmp = Path(tmp)
+        configs = _configs(tmp)
+        old_src = _unpack(args.parent_rev, tmp / "parent")
+        sides = {"new": ROOT / "src", "old": old_src}
+        codes = {side: _run_all(src, configs, tmp / side) for side, src in sides.items()}
+        identical = total = 0
+        for name in configs:
+            for cmd in COMMANDS:
+                key = (name, cmd)
+                if codes["new"][key] != codes["old"][key]:
+                    print(f"{name} {cmd}: exit {codes['new'][key]} here, "
+                          f"{codes['old'][key]} at {args.parent_rev}")
+                new_dir, old_dir = tmp / "new" / name / cmd, tmp / "old" / name / cmd
+                files = sorted({p.name for d in (new_dir, old_dir) if d.exists()
+                                for p in d.glob("*.csv")})
+                for fname in files:
+                    total += 1
+                    if not (new_dir / fname).exists() or not (old_dir / fname).exists():
+                        print(f"{name} {cmd} {fname}: written on one side only")
+                        continue
+                    lines = _compare(new_dir / fname, old_dir / fname)
+                    if lines == ["byte-identical"]:
+                        identical += 1
+                        print(f"{name} {cmd} {fname}: byte-identical")
+                        continue
+                    print(f"{name} {cmd} {fname}: differs")
+                    for line in lines:
+                        print(f"    {line}")
+        print(f"{identical} of {total} CSVs byte-identical to {args.parent_rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -76,6 +76,8 @@ class TestScenarioConfig:
 
 
 EMPTY_BOX = "lattice.box=[[1.5,1.8],[1.5,1.8]]"
+# 1 followed by 400 zeros: a JSON integer that float() cannot hold
+HUGE = "1" + "0" * 400
 
 
 def run_cli(args):
@@ -308,6 +310,15 @@ class TestCliCommands:
         ("flow", "flow.dt_max=0"),
         ("flow", "flow.dt_max=-1"),
         ("bounds", "window.gamma=[0,1,7]"),
+        # an integer too large for a float
+        pytest.param("count", f"ellipsoid.E={HUGE}", id="count-ellipsoid.E=HUGE"),
+        pytest.param("flow", f"flow.eps={HUGE}", id="flow-flow.eps=HUGE"),
+        pytest.param("deform", f"deformation.t_values=[{HUGE}]",
+                     id="deform-deformation.t_values=[HUGE]"),
+        pytest.param("covariance", f"covariance.cases=[[{HUGE},0,0]]",
+                     id="covariance-covariance.cases=[[HUGE,0,0]]"),
+        pytest.param("count", f"tolerances.boundary_tol={HUGE}",
+                     id="count-tolerances.boundary_tol=HUGE"),
     ])
     def test_malformed_field_exits_2(self, small_config, tmp_path, command, override, capsys):
         # several overrides are separated by spaces

@@ -9,7 +9,6 @@ from gaborflow.metaplectic import (
     covariance_defect,
     gaussian_mobius,
     metaplectic_lift,
-    momentum_operator,
     quantize_quadratic,
 )
 from gaborflow.quantum import GridSpec, State, gaussian_window, inner
@@ -25,21 +24,75 @@ ORACLE_MATRICES = [
 ]
 
 
+QUANTIZED_MATRICES = pytest.mark.parametrize(
+    "M",
+    [np.eye(2), np.diag([16.0, 1.0]), np.diag([0.0, 1.0]), np.array([[1.0, 0.7], [0.7, 2.0]])],
+    ids=["round", "squeezed", "free", "coupled"],
+)
+
+
 def phase_aligned_distance(a, b, g):
     """||a - e^{i theta} b|| minimized over the global phase, unit vectors."""
     ip = inner(b, a, g)
     return math.sqrt(max(0.0, 2.0 - 2.0 * abs(ip)))
 
 
+def momentum_matrix(g):
+    """FFT-conjugated multiplication by the signed discrete momenta, dense."""
+    eye = np.eye(g.N, dtype=complex)
+    return np.fft.ifft(g.momenta()[:, None] * np.fft.fft(eye, axis=0), axis=0)
+
+
+def parity_symbols(g):
+    """x, and the vectors of the circulants P^2 and P' = P without its Nyquist
+    mode (divided by i), each exactly even or odd under j -> -j mod N."""
+    N, h = g.N, g.N // 2
+    x = g.dx * (np.arange(N) - h)
+    p = g.momenta()
+    c = np.fft.ifft(p * p).real
+    c[h + 1:] = c[h - 1:0:-1]
+    p[h] = 0.0
+    b = np.fft.ifft(p).imag
+    b[[0, h]] = 0.0
+    b[h + 1:] = -b[h - 1:0:-1]
+    return x, c, b
+
+
+def dense_circulant(c):
+    """Column k is c shifted down by k: entry (j, k) is c[(j - k) mod N]."""
+    return np.column_stack([np.roll(c, k) for k in range(c.size)])
+
+
 def dense_operator_quantization(M, g):
-    """The Weyl quantization with X held as a dense diagonal matrix: the
-    four-product formula that ``quantize_quadratic`` must reproduce bitwise."""
-    X = np.diag(g.xs()).astype(complex)
-    P = momentum_operator(g)
-    H = 0.5 * (M[0, 0] * (X @ X) + M[1, 1] * (P @ P))
+    """The Weyl quantization with X held as a dense diagonal matrix and P^2,
+    P' as dense circulants: the four-product formula that
+    ``quantize_quadratic`` must reproduce bitwise.  The cross term's X and P
+    have their self-mirrored modes, x = -L/2 and the Nyquist momentum, set
+    to 0."""
+    x, c, b = parity_symbols(g)
+    X = np.diag(x)
+    H = 0.5 * (M[0, 0] * (X @ X) + M[1, 1] * dense_circulant(c))
     if M[0, 1] != 0.0:
-        H = H + 0.5 * M[0, 1] * (X @ P + P @ X)
+        x[0] = 0.0
+        Xs = np.diag(x).astype(complex)
+        Ps = 1j * dense_circulant(b)
+        H = H + 0.5 * M[0, 1] * (Xs @ Ps + Ps @ Xs)
+    return H
+
+
+def four_product_quantization(M, g):
+    """The quantization with the full X and P, which the grid parity does not
+    fix at x = -L/2 and at the Nyquist momentum."""
+    X = np.diag(g.xs()).astype(complex)
+    P = momentum_matrix(g)
+    H = 0.5 * (M[0, 0] * (X @ X) + M[1, 1] * (P @ P))
+    H = H + 0.5 * M[0, 1] * (X @ P + P @ X)
     return 0.5 * (H + H.conj().T)
+
+
+def grid_parity(g):
+    """Index map of psi(x) -> psi(-x): j -> -j mod N."""
+    return (-np.arange(g.N)) % g.N
 
 
 def dense(U, g):
@@ -77,22 +130,52 @@ class TestQuantizeQuadratic:
             quantize_quadratic(np.array([[1.0, math.nan], [math.nan, 1.0]]), SMALL)
 
     @pytest.mark.parametrize("N", [16, 64])
-    @pytest.mark.parametrize(
-        "M",
-        [np.eye(2), np.diag([16.0, 1.0]), np.diag([0.0, 1.0]), np.array([[1.0, 0.7], [0.7, 2.0]])],
-        ids=["round", "squeezed", "free", "coupled"],
-    )
+    @QUANTIZED_MATRICES
     def test_equals_dense_operator_formula_bitwise(self, M, N):
         g = GridSpec.centered(N=N, L=8.0)
         assert np.array_equal(quantize_quadratic(M, g), dense_operator_quantization(M, g))
 
+    # 10.3 is not dyadic, so x_min + k dx need not be exactly odd in k
+    @pytest.mark.parametrize("L", [8.0, 10.3])
+    @pytest.mark.parametrize("N", [16, 64, 1024])
+    @QUANTIZED_MATRICES
+    def test_commutes_with_grid_parity_bitwise(self, M, N, L):
+        g = GridSpec.centered(N=N, L=L)
+        H = quantize_quadratic(M, g)
+        par = grid_parity(g)
+        assert np.array_equal(H[np.ix_(par, par)], H)
+
+    @pytest.mark.parametrize("m12", [0.0, -0.0, 0.3, -1e-300])
+    def test_real_exactly_when_uncoupled(self, m12):
+        H = quantize_quadratic(np.array([[1.0, m12], [m12, 2.0]]), SMALL)
+        assert (H.dtype == np.float64) == (m12 == 0.0)
+
+    def test_resolved_spectrum_matches_four_product_formula(self):
+        # the split changes H only where x = -L/2 or p is the Nyquist momentum.
+        # On a grid with dx = dp the ellipse of level N/2, area N/2 of the
+        # torus's N, stays clear of both, so the lower half of the spectrum
+        # agrees; levels that reach them are unresolved in either formula
+        g = GridSpec.centered(N=512, L=math.sqrt(512))
+        M = np.array([[1.0, 0.5], [0.5, 1.0]])
+        low = g.N // 2
+        split = np.linalg.eigvalsh(quantize_quadratic(M, g))[:low]
+        four = np.linalg.eigvalsh(four_product_quantization(M, g))[:low]
+        assert np.max(np.abs(split - four) / four) <= 1e-10
+        exact = g.hbar * math.sqrt(np.linalg.det(M)) * (np.arange(low) + 0.5)
+        assert np.max(np.abs(split - exact) / exact) <= 1e-10
+
     def test_canonical_commutator(self):
         # [X, P] = i hbar on concentrated states
         X = np.diag(SMALL.xs()).astype(complex)
-        P = momentum_operator(SMALL)
+        P = momentum_matrix(SMALL)
         C = X @ P - P @ X
         phi = gaussian_window(1j, SMALL).values
         assert np.max(np.abs(C @ phi - 1j * SMALL.hbar * phi)) <= 1e-10
+
+    def test_rejects_off_center_grid(self):
+        g = GridSpec(N=32, x_min=-3.0, dx=0.25, hbar=SMALL.hbar)
+        with pytest.raises(ValueError, match="centered"):
+            quantize_quadratic(np.eye(2), g)
 
 
 class TestMetaplecticLift:
@@ -120,20 +203,38 @@ class TestMetaplecticLift:
 
     def test_apply_equals_eigenfactor_formula_and_copies_no_matrix(self):
         g = GridSpec.centered(N=512, L=16.0)
-        M = np.array([[1.0, 0.3], [0.3, 2.0]])
-        U = metaplectic_lift(M, 0.45, g)
-        _, V = metaplectic._eig_factors(M, g)
+        N, h = g.N, g.N // 2
+        t = 0.45
         rng = np.random.default_rng(11)
-        psi = rng.normal(size=g.N) + 1j * rng.normal(size=g.N)
-        ref = V @ (U.phases * (V.conj().T @ psi))
-        assert np.array_equal(U.apply(State(psi)).values, ref)
-        tracemalloc.start()
-        try:
-            U.apply(State(psi))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * g.N**2
+        psi = rng.normal(size=N) + 1j * rng.normal(size=N)
+        r = math.sqrt(0.5)
+        # coupled: complex block factors; squeezed: real ones
+        for M in (np.array([[1.0, 0.3], [0.3, 2.0]]), np.diag([4.0, 1.0])):
+            U = metaplectic_lift(M, t, g)
+            (we, Ve), (wo, Vo) = metaplectic._eig_factors(M, g)
+            assert Ve.shape == (h + 1, h + 1) and Vo.shape == (h - 1, h - 1)
+            assert np.iscomplexobj(Ve) == (M[0, 1] != 0.0)
+            # the even and odd coordinates of psi, evolved blockwise, unfolded
+            even = np.concatenate(([psi[0]], (psi[1:h] + psi[:h:-1]) * r, [psi[h]]))
+            odd = (psi[1:h] - psi[:h:-1]) * r
+            e = Ve @ (np.exp(-1j * t * we / g.hbar) * (Ve.conj().T @ even))
+            o = Vo @ (np.exp(-1j * t * wo / g.hbar) * (Vo.conj().T @ odd))
+            ref = np.concatenate(([e[0]], (e[1:h] + o) * r, [e[h]], ((e[1:h] - o) * r)[::-1]))
+            got = U.apply(State(psi)).values
+            if np.iscomplexobj(Ve):
+                assert np.array_equal(got, ref)
+            else:
+                # a real factor multiplies the real and imaginary parts as
+                # two float columns, which sum in another order
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(psi))
+            tracemalloc.start()
+            try:
+                U.apply(State(psi))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a copy or complex cast of one block factor takes over 2 N^2 bytes
+            assert peak < g.N**2
 
     def test_cache_key_cannot_alias_shapes(self):
         # the key is M's bytes alone, so the flat array shares a 2x2 M's key
@@ -193,7 +294,11 @@ class TestMetaplecticLift:
         from collections import OrderedDict
 
         g = GridSpec.centered(N=32, L=8.0)
-        factor = 16 * g.N**2 + 8 * g.N
+        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
+        # the byte size of one cached entry; every M below has m12 = 0
+        metaplectic_lift(np.diag([5.0, 1.0]), 0.3, g)
+        (entry,) = metaplectic._eig_cache.values()
+        factor = sum(w.nbytes + V.nbytes for w, V in entry)
         monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
         monkeypatch.setattr(metaplectic, "EIG_CACHE_BYTES", 2 * factor)
         computed = []
@@ -220,6 +325,15 @@ class TestMetaplecticLift:
         metaplectic_lift(Ms[1], 0.3, g)
         assert computed == [1.0, 2.0, 3.0, 2.0]
 
+
+    @pytest.mark.parametrize("M", [np.diag([4.0, 1.0]), np.array([[1.0, 0.5], [0.5, 2.0]])],
+                             ids=["squeezed", "coupled"])
+    def test_split_lift_equals_dense_complex_eigh(self, M):
+        H = quantize_quadratic(M, SMALL)
+        w, V = np.linalg.eigh(H.astype(complex))
+        t = 0.8
+        ref = V @ np.diag(np.exp(-1j * t * w / SMALL.hbar)) @ V.conj().T
+        assert np.max(np.abs(dense(metaplectic_lift(M, t, SMALL), SMALL) - ref)) <= 1e-10
 
 class TestGaussianOracle:
     @pytest.mark.parametrize("M", ORACLE_MATRICES, ids=["round", "squeezed", "coupled"])
