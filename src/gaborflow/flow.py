@@ -23,7 +23,7 @@ from .lattice import (
     enclosed_indices,
     off_surface_distances,
 )
-from .symplectic import _dot, _floats, flow_matrix
+from .symplectic import _floats, flow_matrix
 
 __all__ = [
     "TruncatedHamiltonian",
@@ -65,66 +65,50 @@ class TruncatedHamiltonian:
             raise ValueError(f"eps must be positive, got {self.eps!r}")
 
 
-def _g(u: float) -> float:
-    # exp(-1/u) for u > 0, extended by 0; underflows cleanly to 0.0
+def _h_and_slope(u: float) -> tuple[float, float]:
+    """h(u) = g(1-u)/(g(u)+g(1-u)) and h'(u), with g(u) = exp(-1/u) for
+    u > 0, from one pair of exponentials: (1, 0) for u <= 0, (0, 0) for
+    u >= 1."""
     if u <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / u)
-
-
-def _h(u: float) -> float:
-    if u <= 0.0:
-        return 1.0
+        return 1.0, 0.0
     if u >= 1.0:
-        return 0.0
-    a = _g(u)
-    b = _g(1.0 - u)
-    return b / (a + b)
-
-
-def _h_prime(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    a = _g(u)
-    b = _g(1.0 - u)
-    return -a * b * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / (a + b) ** 2
+        return 0.0, 0.0
+    # each exponential underflows cleanly to 0.0 near its end of (0, 1)
+    a = math.exp(-1.0 / u)
+    b = math.exp(-1.0 / (1.0 - u))
+    return b / (a + b), -a * b * (1.0 / u**2 + 1.0 / (1.0 - u) ** 2) / (a + b) ** 2
 
 
 _PLATEAU, _SHELL, _OUTSIDE = 0, 1, 2
-
-
-def _distance_bounds(z: list, ell: Ellipsoid, Hval: float) -> tuple[float, float]:
-    """Certified (lower, upper) bounds on the surface distance for H(z) > E.
-
-    Upper: descending along the gradient reaches the surface within
-    (H - E)/inf|grad H|, with the inf taken over {H >= E}.  Lower: the mean
-    value theorem along the projection segment plus the enclosing-ball bound.
-    """
-    delta = Hval - ell.E
-    d_hi = delta / ell.gradient_floor
-    r = math.sqrt(_dot(z, z))
-    reach = max(r, ell.outer_radius)
-    d_lo = max(r - ell.outer_radius, delta / (ell.H.max_eigenvalue * reach))
-    return d_lo, d_hi
 
 
 def _region(z: list, th: TruncatedHamiltonian):
     """Classify z, a list of 2n floats, against the cutoff plateaus:
     (region, s, projection, grad H(z), H(z)).
 
-    The cheap distance bounds certify most plateau/outside calls without the
-    Lagrange projection, which matters inside RK4 stage evaluations; the
-    projection, a list of floats, is only available (non-None) when the exact
-    solve ran.
+    For H(z) > E, certified bounds on the surface distance settle most
+    plateau/outside calls without the Lagrange projection, which matters
+    inside RK4 stage evaluations.  Upper: descending along the gradient
+    reaches the surface within (H - E)/inf|grad H|, with the inf taken over
+    {H >= E}.  Lower: the mean value theorem along the projection segment
+    plus the enclosing-ball bound.  The projection, a list of floats, is
+    only available (non-None) when the exact solve ran.
     """
     ell = th.ell
     grad, Hval = ell.H.gradient_and_value(z)
     if Hval <= ell.E:
         return _PLATEAU, 0.0, None, grad, Hval
     half = th.eps / 2.0
-    d_lo, d_hi = _distance_bounds(z, ell, Hval)
+    delta = Hval - ell.E
+    d_hi = delta / ell.gradient_floor
     if d_hi <= half:
         return _PLATEAU, d_hi, None, grad, Hval
+    zz = 0.0
+    for zi in z:
+        zz += zi * zi
+    r = math.sqrt(zz)
+    reach = max(r, ell.outer_radius)
+    d_lo = max(r - ell.outer_radius, delta / (ell.H.max_eigenvalue * reach))
     if d_lo >= th.eps:
         return _OUTSIDE, d_lo, None, grad, Hval
     d, proj = distance_to_ellipsoid(z, ell)
@@ -147,7 +131,10 @@ def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[list, float]:
     per-call overhead on one point of a few coordinates costs far more than
     the arithmetic.  A list of 2n floats is used as it is, any other point
     is converted first (a wrong number of coordinates raises ValueError), and
-    the field comes back as a list of 2n floats.
+    the field comes back as a list of 2n floats.  The classification's sums
+    are ``_dot``'s loop inlined, its shell projection is the public
+    ``distance_to_ellipsoid`` on the same list, and a shell point takes the
+    cutoff and its slope from one pair of exponentials.
     """
     if type(z) is not list or len(z) != 2 * th.ell.dim:
         z = _floats(z, th.ell.dim)
@@ -156,9 +143,7 @@ def hamiltonian_field(z, th: TruncatedHamiltonian) -> tuple[list, float]:
         return [0.0] * len(z), 0.0
     if region == _SHELL:
         half = th.eps / 2.0
-        u = (d - half) / half
-        c = _h(u)
-        hp = _h_prime(u)
+        c, hp = _h_and_slope((d - half) / half)
         if hp != 0.0:
             a = Hval * hp * (2.0 / th.eps)
             grad = [c * g + a * (zi - pi) / d for g, zi, pi in zip(grad, z, proj)]

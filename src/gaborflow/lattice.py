@@ -256,13 +256,15 @@ def _secular_root(psi, lo, hi):
         else:
             return s
         nxt = s - val / slope
-        if abs(val) <= _SECULAR_TOL or abs(nxt - s) <= _SECULAR_TOL * s:
+        step = abs(nxt - s)
+        if abs(val) <= _SECULAR_TOL or step <= _SECULAR_TOL * s:
             return nxt if lo <= nxt <= hi else s
-        if not (lo < nxt < hi and abs(nxt - s) <= 0.5 * older):
+        if not (lo < nxt < hi and step <= 0.5 * older):
             nxt = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 2.0 * lo < hi else 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 return s
-        prev, older = abs(nxt - s), prev
+            step = abs(nxt - s)
+        prev, older = step, prev
         s = nxt
     return math.nan
 
@@ -300,8 +302,12 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     new float array, never the caller's.
 
     The solve runs on Python floats, with the eigenbasis that the
-    Hamiltonian keeps as floats: on one point of a few coordinates, numpy's per-call overhead
-    would cost several times the arithmetic.
+    Hamiltonian keeps as floats: on one point of a few coordinates, numpy's
+    per-call overhead would cost several times the arithmetic.  A list of
+    exactly 2n coordinates is used as it is, as ``hamiltonian_field`` passes
+    its stages; any other z is converted first, and a wrong number of
+    coordinates raises ValueError.  A list, a tuple and an array of the same
+    floats give bitwise-equal results.
 
     Raises
     ------
@@ -310,21 +316,32 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
         message reports the scanned bracket rather than returning a wrong
         point.
     """
-    zs = _floats(z, ell.dim)
+    H = ell.H
+    zs = z if type(z) is list and len(z) == 2 * H.dim else _floats(z, H.dim)
     E = ell.E
-    Hz = ell.H.gradient_and_value(zs)[1]
+    Hz = H.gradient_and_value(zs)[1]
     if not math.isfinite(Hz):
         raise ValueError(f"point must be finite with finite H, got {zs}")
     if abs(Hz - E) <= ON_SURFACE_REL_TOL * E:
-        return 0.0, np.array(zs)
+        return 0.0, np.array(zs, dtype=float)
 
-    mu, r, c, Q, Qt = ell.H._eigenbasis
-    y = [_dot(col, zs) for col in Qt]
+    # the sums below inline _dot's loop (the cold pole case calls it)
+    mu, r, c, Q, Qt = H._eigenbasis
+    zz = 0.0
+    for zi in zs:
+        zz += zi * zi
     # coordinates that are zero or negligible have w = 0 and drop out of the
     # secular equation
-    floor = _NEGLIGIBLE * (1.0 + math.sqrt(_dot(zs, zs)))
-    nz = [i for i, yi in enumerate(y) if abs(yi) > floor]
-    terms = [(mu[i], r[i], c[i], y[i]) for i in nz]
+    floor = _NEGLIGIBLE * (1.0 + math.sqrt(zz))
+    y, nz, terms = [], [], []
+    for i, col in enumerate(Qt):
+        yi = 0.0
+        for qij, zj in zip(col, zs):
+            yi += qij * zj
+        y.append(yi)
+        if abs(yi) > floor:
+            nz.append(i)
+            terms.append((mu[i], r[i], c[i], yi))
 
     def psi(s):
         q = slope = 0.0
@@ -340,7 +357,9 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     if Hz > E:
         # s*r_i <= (1 - r_i) + s*r_i <= s for s >= 1 bounds H(w(s)) both ways
         lo = max(1.0, math.sqrt(Hz / E))
-        spread = _dot([yi * yi for yi in y], [1.0 / m for m in mu])
+        spread = 0.0
+        for yi, m in zip(y, mu):
+            spread += (yi * yi) * (1.0 / m)
         hi = max(lo, mu[-1] * math.sqrt(spread / (2.0 * E)))
     else:
         hi = 1.0
@@ -368,7 +387,10 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     w = [0.0] * len(y)
     for i, (_, ri, ci, yi) in zip(nz, terms):
         w[i] = yi / (ci + s * ri)
-    if not abs(0.5 * _dot(mu, [wi * wi for wi in w]) - E) <= ON_SURFACE_REL_TOL * E:
+    held = 0.0
+    for m, wi in zip(mu, w):
+        held += m * (wi * wi)
+    if not abs(0.5 * held - E) <= ON_SURFACE_REL_TOL * E:
         raise ProjectionError(
             f"no admissible projection found for z={zs}: scanned the "
             f"multiplier bracket s = 1 + lam*mu_max in [{lo:.6e}, {hi:.6e}]"
@@ -377,9 +399,19 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
 
 
 def _distance_and_point(y, w, Q) -> tuple[float, np.ndarray]:
-    """|y - w| and the surface point Q w, for w given in the eigenbasis."""
-    diff = [yi - wi for yi, wi in zip(y, w)]
-    return math.sqrt(_dot(diff, diff)), np.array([_dot(row, w) for row in Q])
+    """|y - w| and the surface point Q w, for w given in the eigenbasis,
+    with ``_dot``'s sums inlined."""
+    dd = 0.0
+    for yi, wi in zip(y, w):
+        diff = yi - wi
+        dd += diff * diff
+    proj = []
+    for row in Q:
+        acc = 0.0
+        for qij, wj in zip(row, w):
+            acc += qij * wj
+        proj.append(acc)
+    return math.sqrt(dd), np.array(proj)
 
 
 def off_surface_distances(
@@ -388,7 +420,8 @@ def off_surface_distances(
     """Indices of the points of P off the surface, |H(z) - E| > boundary_tol*E,
     in ascending order, and their distances to the surface."""
     idx = np.nonzero(~_surface_band(P, ell, boundary_tol)[1])[0]
-    return idx, np.array([distance_to_ellipsoid(P.points[i], ell)[0] for i in idx])
+    # rows as lists of floats take the projection's fast path
+    return idx, np.array([distance_to_ellipsoid(z, ell)[0] for z in P.points[idx].tolist()])
 
 
 def max_safe_epsilon(

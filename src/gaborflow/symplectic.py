@@ -27,8 +27,11 @@ SYMMETRY_TOL = 1e-12
 
 
 def _dot(a, b) -> float:
-    """sum_i a_i b_i of two sequences of floats, summed in coordinate order:
-    the inner product of the per-point kernels."""
+    """sum_i a_i b_i of two sequences of floats, accumulated from 0.0 in
+    coordinate order: the inner product of the per-point kernels.  Their
+    hot paths inline this same loop, which rounds exactly as this call does,
+    to save a call per pair; ``sum()`` is not used because from Python 3.12
+    on it sums floats with compensation."""
     total = 0.0
     for ai, bi in zip(a, b):
         total += ai * bi
@@ -111,9 +114,17 @@ class QuadraticHamiltonian:
 
         Plain float arithmetic: on a single point of a few coordinates,
         numpy's per-call overhead costs far more than the sums themselves.
+        The sums are ``_dot``'s, inlined.
         """
-        grad = [_dot(row, z) for row in self._rows]
-        return grad, 0.5 * _dot(z, grad)
+        grad = []
+        h = 0.0
+        for row, zi in zip(self._rows, z):
+            g = 0.0
+            for mij, zj in zip(row, z):
+                g += mij * zj
+            grad.append(g)
+            h += zi * g
+        return grad, 0.5 * h
 
     def value(self, z) -> float:
         return self.gradient_and_value(_floats(z, self.dim))[1]

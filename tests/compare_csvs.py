@@ -4,7 +4,10 @@
 
 Runs the six subcommands with ``--no-timestamp`` on four configs: the
 built-in default, the tests' ``SMALL_CONFIG`` (read from
-``tests/test_config_cli.py``) and both ``scenarios/*.json``.  It runs them
+``tests/test_config_cli.py``) and both ``scenarios/*.json``.  Those flows
+start on the plateau, so ``flow`` also runs from two starts in the cutoff's
+transition shell, where every RK4 stage projects onto the ellipsoid: one on
+a coupled 2 x 2 M and one on a 4 x 4 M (n = 2).  It runs them
 once on this checkout's ``src``, uncommitted edits included, and once on
 PARENT_REV's, unpacked with ``git archive`` into a temporary directory.  For
 each CSV it prints "byte-identical" or, per column, the largest absolute and
@@ -31,6 +34,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("bounds", "deform", "flow", "epsilon", "count", "covariance")
+# flow-only configs whose start lies at distance 0.27 from the surface,
+# inside the transition shell (eps/2, eps) = (0.15, 0.3)
+SHELL_FLOWS = {
+    "shell_flow": {
+        "ellipsoid": {"M": [[2.0, 0.3], [0.3, 0.7]], "E": 0.5},
+        "flow": {"z0": [0.2, 1.4], "eps": 0.3},
+    },
+    "shell_flow_n2": {
+        "ellipsoid": {
+            "M": [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0],
+                  [0.0, 0.2, 1.5, 0.4], [0.1, 0.0, 0.4, 0.8]],
+            "E": 0.9,
+        },
+        "flow": {"z0": [1.1, 0.2, -0.4, 0.5], "t": 1.0, "eps": 0.3},
+    },
+}
 
 
 def _small_config() -> dict:
@@ -44,12 +63,17 @@ def _small_config() -> dict:
 
 
 def _configs(workdir: Path) -> dict:
-    """Config name -> path of its JSON file, or None for the built-in default."""
+    """Config name -> (path of its JSON file, or None for the built-in
+    default; the commands to run on it)."""
     small = workdir / "small_config.json"
     small.write_text(json.dumps(_small_config()))
-    configs = {"default": None, "small_config": small}
+    configs = {"default": (None, COMMANDS), "small_config": (small, COMMANDS)}
     for path in sorted((ROOT / "scenarios").glob("*.json")):
-        configs[path.stem] = path
+        configs[path.stem] = (path, COMMANDS)
+    for name, cfg in SHELL_FLOWS.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        configs[name] = (path, ("flow",))
     return configs
 
 
@@ -66,8 +90,8 @@ def _run_all(src: Path, configs: dict, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     out.mkdir()
     codes = {}
-    for name, path in configs.items():
-        for cmd in COMMANDS:
+    for name, (path, commands) in configs.items():
+        for cmd in commands:
             argv = [sys.executable, "-m", "gaborflow.cli", cmd, "--out",
                     str(out / name / cmd), "--no-timestamp"]
             if path is not None:
@@ -128,8 +152,8 @@ def main(argv=None) -> int:
         sides = {"new": ROOT / "src", "old": old_src}
         codes = {side: _run_all(src, configs, tmp / side) for side, src in sides.items()}
         identical = total = 0
-        for name in configs:
-            for cmd in COMMANDS:
+        for name, (_, commands) in configs.items():
+            for cmd in commands:
                 key = (name, cmd)
                 if codes["new"][key] != codes["old"][key]:
                     print(f"{name} {cmd}: exit {codes['new'][key]} here, "

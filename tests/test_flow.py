@@ -39,7 +39,7 @@ def cutoff(z, th):
     outside the support (h = 0)."""
     s = flow._region(np.asarray(z, dtype=float).tolist(), th)[1]
     half = th.eps / 2.0
-    return flow._h((s - half) / half)
+    return flow._h_and_slope((s - half) / half)[0]
 
 
 class TestChi:
@@ -276,8 +276,7 @@ def numpy_field(z, th):
             return np.zeros(zc.size), 0.0, 0.0
         if d > half:
             u = (d - half) / half
-            c = flow._h(u)
-            hp = flow._h_prime(u)
+            c, hp = flow._h_and_slope(u)
             grad = c * grad + H * hp * (2.0 / th.eps) * (zc - proj) / d
             H = H * c
     n = zc.size // 2

@@ -431,6 +431,38 @@ class TestFloatKernel:
             assert np.max(np.abs(proj - proj_ref)) <= tol, (z, proj, proj_ref)
 
 
+    @pytest.mark.parametrize("name", KERNEL_ELLIPSOIDS)
+    def test_list_tuple_and_array_agree_bitwise(self, name):
+        # a list of 2n coordinates is used as it is, anything else is
+        # converted first; the arithmetic must not depend on which
+        M, E = KERNEL_ELLIPSOIDS[name]
+        ell = Ellipsoid(QuadraticHamiltonian(M), E)
+        pts, axes = kernel_points(ell, np.random.default_rng(31))
+        for z in pts + axes:
+            d, proj = distance_to_ellipsoid(z, ell)
+            for form in (z.tolist(), tuple(z.tolist())):
+                d_form, proj_form = distance_to_ellipsoid(form, ell)
+                assert np.float64(d_form).tobytes() == np.float64(d).tobytes(), (z, form)
+                assert proj_form.dtype == float and proj_form.tobytes() == proj.tobytes(), z
+
+    @pytest.mark.parametrize("M, z", [
+        (np.eye(2), [1.0, 0.0, 0.0]),
+        (KERNEL_ELLIPSOIDS["n=2"][0], [0.5, 0.0, 0.1, 0.0, 0.0]),
+        (KERNEL_ELLIPSOIDS["n=2"][0], [0.5, 0.0, 0.1]),
+    ])
+    def test_a_list_of_the_wrong_length_raises(self, M, z):
+        # the kernel sums with zip, which would stop at the shorter sequence
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            distance_to_ellipsoid(z, Ellipsoid(QuadraticHamiltonian(M), 0.5))
+
+    def test_int_list_on_the_surface_gives_a_float_projection(self, unit_circle):
+        z = [1, 0]
+        d, proj = distance_to_ellipsoid(z, unit_circle)
+        assert d == 0.0
+        assert type(proj) is np.ndarray and proj.dtype == np.float64
+        assert proj.tolist() == [1.0, 0.0]
+
+
 class TestSecularRoot:
     def test_sharp_bend_converges_in_few_steps(self):
         # psi = 1 - 1/s is concave with its root 30 decades above lo: plain

@@ -2,17 +2,23 @@
 it names in ``TARGETS``: each name must resolve, the span of
 ``quantize_quadratic`` reads the grid from its second positional argument,
 and the truncated flow's work and a sweep's solves and analyses run through
-the traced public names."""
+the traced public names.  The benchmark's own output checks
+(perfbench/test_checks.py) run here too, in a subprocess with one BLAS
+thread, as the benchmark runs them."""
 
 import importlib
 import importlib.util
 import inspect
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer_module():
@@ -109,3 +115,15 @@ def test_every_deformed_solve_runs_through_the_traced_names():
     # one lift and one apply per distinct (M, t): both ellipsoids share M
     assert names.count("metaplectic.metaplectic_lift") == 3
     assert names.count("metaplectic.Propagator.apply") == 3
+
+
+def test_the_benchmark_output_checks_pass():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench/test_checks.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
