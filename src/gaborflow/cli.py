@@ -34,7 +34,7 @@ EXIT_NUMERICAL = 3
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)) and not isinstance(value, bool):
+    if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
@@ -79,8 +79,8 @@ def cmd_deform(args) -> int:
     cfg = _load_config(args)
     g = cfg.build_grid()
     sys_ = GaborSystem(cfg.build_window(g), cfg.build_lattice(), g)
-    ells = [cfg.build_ellipsoid(E) for E in cfg.energy_sweep()]
-    sweep = ellipsoid_sweep(sys_, ells, cfg.t_values(), cfg.tolerance_values()[0])
+    ells = [cfg.build_ellipsoid(E) for E in cfg.ellipsoid.E]
+    sweep = ellipsoid_sweep(sys_, ells, cfg.deformation.t_values, cfg.tolerances.boundary_tol)
     rows = [report.csv_row() for _, report in sweep]
     _write_csv(_outdir(args) / "deform.csv", REPORT_COLUMNS, rows, not args.no_timestamp)
     print(f"wrote {len(rows)} deformation rows")
@@ -88,8 +88,9 @@ def cmd_deform(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    th, z0, t, dt_max = _load_config(args).build_flow()
-    times, pts, hvals = flow_trajectory(z0, th, t, dt_max)
+    cfg = _load_config(args)
+    times, pts, hvals = flow_trajectory(cfg.flow.z0, cfg.build_flow(), cfg.flow.t,
+                                        cfg.flow.dt_max)
     n = pts.shape[1] // 2
     header = (["t"] + [f"x{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
               + ["H_eps"])
@@ -104,7 +105,8 @@ def cmd_flow(args) -> int:
 def cmd_epsilon(args) -> int:
     cfg = _load_config(args)
     ell = cfg.build_ellipsoid()
-    eps = max_safe_epsilon(cfg.build_lattice(), ell, *cfg.tolerance_values())
+    eps = max_safe_epsilon(cfg.build_lattice(), ell, cfg.tolerances.boundary_tol,
+                           cfg.tolerances.eps_max)
     print(_fmt(eps))
     if args.out:
         _write_csv(_outdir(args) / "epsilon.csv", ("E", "eps_star"),
@@ -115,11 +117,11 @@ def cmd_epsilon(args) -> int:
 def cmd_count(args) -> int:
     cfg = _load_config(args)
     P = cfg.build_lattice()
-    boundary_tol = cfg.tolerance_values()[0]
     rows = []
-    for E in cfg.energy_sweep():
+    for E in cfg.ellipsoid.E:
         # the enclosed set, surface included: the points that deform moves
-        rows.append((E, len(enclosed_indices(P, cfg.build_ellipsoid(E), boundary_tol))))
+        enclosed = enclosed_indices(P, cfg.build_ellipsoid(E), cfg.tolerances.boundary_tol)
+        rows.append((E, len(enclosed)))
     _write_csv(_outdir(args) / "count.csv", ("E", "count"), rows, not args.no_timestamp)
     for E, c in rows:
         print(f"E={_fmt(E)} count={c}")
@@ -129,14 +131,14 @@ def cmd_count(args) -> int:
 def cmd_covariance(args) -> int:
     cfg = _load_config(args)
     M = cfg.build_ellipsoid().H.M
-    grids = cfg.covariance_grids()
-    cases = cfg.covariance_cases()
-    header = ["t", "q", "p"] + [f"defect_N{n}" for n in grids]
+    # the scenario grid when no grids are set
+    grids = [cfg.build_grid(n) for n in cfg.covariance.grids or [cfg.grid.N]]
+    header = ["t", "q", "p"] + [f"defect_N{g.N}" for g in grids]
     if len(grids) == 2:
         header.append("ratio")
     rows = []
-    for t, q, p in cases:
-        defects = [covariance_defect(M, t, [q, p], cfg.build_grid(n)) for n in grids]
+    for t, q, p in cfg.covariance.cases:
+        defects = [covariance_defect(M, t, [q, p], g) for g in grids]
         row = [t, q, p] + defects
         if len(grids) == 2:
             row.append(defects[1] / max(defects[0], 1e-300))

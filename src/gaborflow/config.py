@@ -1,17 +1,20 @@
-"""Scenario configuration: JSON-backed dataclasses that validate into the
-numeric module types.
+"""Scenario configuration: one table of 19 fields, each converted and checked
+when a file or an override sets it, whichever subcommand then runs.
 
-Unknown keys are rejected so that typos in config files fail loudly instead
-of silently running defaults.
+Unknown sections and keys are rejected, and a value of the wrong kind fails
+at load, so that typos in config files fail loudly instead of silently
+running defaults.  The builders turn the converted values into the numeric
+module types, whose own checks (a power-of-two N, a positive definite M,
+Im Gamma > 0, a box with lower < upper) also fail as config errors.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,120 +23,137 @@ from .lattice import Box, Ellipsoid, PointSet, separable_lattice
 from .quantum import HBAR_GABOR, GridSpec, State, gaussian_window, load_state, norm
 from .symplectic import QuadraticHamiltonian
 
-__all__ = [
-    "ConfigError",
-    "GridConfig",
-    "WindowConfig",
-    "LatticeConfig",
-    "EllipsoidConfig",
-    "DeformationConfig",
-    "FlowRunConfig",
-    "CovarianceConfig",
-    "TolerancesConfig",
-    "ScenarioConfig",
-]
+__all__ = ["ConfigError", "ScenarioConfig"]
 
 
 class ConfigError(Exception):
     """Invalid scenario configuration."""
 
 
-def _finite(value) -> float:
-    """A config number as a float.  A string, a boolean or any other value
-    that is not a real number raises TypeError; NaN, +-inf and an integer
-    too large for a float raise ValueError.  The builders report both as a
-    config error."""
+# The kinds: each converts a JSON value or raises TypeError, ValueError or
+# OverflowError.  A number is a JSON number, never a string or a boolean.
+
+
+def _real(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError as exc:
-        raise ValueError("expected a finite number, got an integer too large for a float") from exc
+    x = float(value)  # OverflowError for an integer too large for a float
     if not math.isfinite(x):
         raise ValueError(f"expected a finite number, got {value!r}")
     return x
 
 
-def _integer(value) -> int:
-    """A config count as an int; a non-integral value raises ValueError
-    instead of being truncated."""
-    if not _finite(value).is_integer():
+def _positive(value) -> float:
+    x = _real(value)
+    if x <= 0.0:
+        raise ValueError(f"expected a positive number, got {value!r}")
+    return x
+
+
+def _non_negative(value) -> float:
+    x = _real(value)
+    if x < 0.0:
+        raise ValueError(f"expected a number >= 0, got {value!r}")
+    return x
+
+
+def _count(value) -> int:
+    """An integral number as an int; a fraction is rejected, not truncated."""
+    if not _real(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-@dataclass
-class GridConfig:
-    N: int = 128
-    L: float = 12.0
-    hbar: float = HBAR_GABOR
+def _list(kind, size: int | None = None):
+    """The kind of a JSON array of ``kind`` values, of exactly ``size``
+    entries when size is given."""
+
+    def convert(value) -> list:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        if size is not None and len(value) != size:
+            raise ValueError(f"expected {size} entries, got {value!r}")
+        return [kind(v) for v in value]
+
+    return convert
 
 
-@dataclass
-class WindowConfig:
-    # either a Gaussian parameter [re, im] with im > 0, or a state file path
-    gamma: list = field(default_factory=lambda: [0.0, 1.0])
-    file: str | None = None
+def _optional(kind):
+    """The kind of null or a ``kind`` value."""
+    return lambda value: None if value is None else kind(value)
 
 
-@dataclass
-class LatticeConfig:
-    alpha: float = 2.0 ** -0.5
-    beta: float = 2.0 ** -0.5
-    box: list = field(default_factory=lambda: [[-6.0, 6.0], [-6.0, 6.0]])
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path, got {value!r}")
+    return value
 
 
-@dataclass
-class EllipsoidConfig:
-    M: list = field(default_factory=lambda: [[1.0, 0.0], [0.0, 1.0]])
-    E: object = 0.5  # a number or a list of numbers (sweep)
+def _energies(value) -> list[float]:
+    """One energy or a nonempty list of them, as a list."""
+    if not isinstance(value, list):
+        return [_positive(value)]
+    if not value:
+        raise ValueError("expected at least one energy")
+    return [_positive(v) for v in value]
 
 
-@dataclass
-class DeformationConfig:
-    t_values: list = field(default_factory=lambda: [0.0, 0.2, 0.4, 0.6, 0.8])
+# section -> key -> (kind, default)
+_FIELDS = {
+    "grid": {"N": (_count, 128), "L": (_positive, 12.0), "hbar": (_positive, HBAR_GABOR)},
+    # a Gaussian parameter [re, im] with im > 0, unless a state file is given
+    "window": {
+        "gamma": (lambda value: complex(*_list(_real, 2)(value)), [0.0, 1.0]),
+        "file": (_optional(_path), None),
+    },
+    "lattice": {
+        "alpha": (_positive, 2.0 ** -0.5),
+        "beta": (_positive, 2.0 ** -0.5),
+        "box": (_list(_list(_real, 2)), [[-6.0, 6.0], [-6.0, 6.0]]),
+    },
+    # M: rows of equal length, which numpy checks; E: one energy, or a list
+    # of them for a sweep
+    "ellipsoid": {
+        "M": (lambda value: np.array(_list(_list(_real))(value)), [[1.0, 0.0], [0.0, 1.0]]),
+        "E": (_energies, 0.5),
+    },
+    "deformation": {"t_values": (_list(_real), [0.0, 0.2, 0.4, 0.6, 0.8])},
+    "flow": {
+        "z0": (_list(_real), [0.5, 0.0]),
+        "t": (_real, math.pi / 2.0),
+        "dt_max": (_positive, 1e-3),
+        "eps": (_positive, 0.3),
+    },
+    # rows (t, q, p); grids: the N values to compare, the scenario grid's if null
+    "covariance": {
+        "cases": (_list(_list(_real, 3)),
+                  [[0.0, 1.0, 0.0], [math.pi / 2.0, 1.0, 0.0], [0.7, 0.5, 0.5]]),
+        "grids": (_optional(_list(_count)), None),
+    },
+    "tolerances": {"boundary_tol": (_non_negative, 1e-9), "eps_max": (_positive, 1.0)},
+}
 
 
-@dataclass
-class FlowRunConfig:
-    z0: list = field(default_factory=lambda: [0.5, 0.0])
-    t: float = math.pi / 2.0
-    dt_max: float = 1e-3
-    eps: float = 0.3
+@contextlib.contextmanager
+def _rejected_as(what: str):
+    """Report a module type's own check on converted values, or a window file
+    that cannot be read, as a config error."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-@dataclass
-class CovarianceConfig:
-    # rows (t, q, p); grids: list of N values to compare (defaults to the scenario grid)
-    cases: list = field(
-        default_factory=lambda: [
-            [0.0, 1.0, 0.0],
-            [math.pi / 2.0, 1.0, 0.0],
-            [0.7, 0.5, 0.5],
-        ]
-    )
-    grids: list | None = None
-
-
-@dataclass
-class TolerancesConfig:
-    boundary_tol: float = 1e-9
-    eps_max: float = 1.0
-
-
-@dataclass
 class ScenarioConfig:
     """Top-level experiment description; ``ScenarioConfig()`` is the default
-    scenario."""
+    scenario.  Each section is a namespace of converted values, for example
+    ``cfg.ellipsoid.E``, a list of floats."""
 
-    grid: GridConfig = field(default_factory=GridConfig)
-    window: WindowConfig = field(default_factory=WindowConfig)
-    lattice: LatticeConfig = field(default_factory=LatticeConfig)
-    ellipsoid: EllipsoidConfig = field(default_factory=EllipsoidConfig)
-    deformation: DeformationConfig = field(default_factory=DeformationConfig)
-    flow: FlowRunConfig = field(default_factory=FlowRunConfig)
-    covariance: CovarianceConfig = field(default_factory=CovarianceConfig)
-    tolerances: TolerancesConfig = field(default_factory=TolerancesConfig)
+    def __init__(self) -> None:
+        for section in _FIELDS:
+            setattr(self, section, SimpleNamespace())
+        self._merge({section: {key: default for key, (_, default) in fields.items()}
+                     for section, fields in _FIELDS.items()})
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
@@ -142,23 +162,26 @@ class ScenarioConfig:
         return cfg
 
     def _merge(self, data: dict) -> None:
-        """Set ``section.key`` for every ``{section: {key: value}}`` in data;
-        unknown sections and keys are rejected."""
+        """Convert and set ``section.key`` for every ``{section: {key: value}}``
+        in data; unknown sections and keys and malformed values are rejected."""
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in dataclasses.fields(self)}
+        unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         for name, payload in data.items():
-            section = getattr(self, name)
             if not isinstance(payload, dict):
                 raise ConfigError(f"section {name!r} must be an object")
-            allowed = {f.name for f in dataclasses.fields(section)}
-            bad = set(payload) - allowed
+            fields = _FIELDS[name]
+            bad = set(payload) - set(fields)
             if bad:
                 raise ConfigError(f"unknown keys in section {name!r}: {sorted(bad)}")
+            section = getattr(self, name)
             for key, value in payload.items():
-                setattr(section, key, value)
+                try:
+                    setattr(section, key, fields[key][0](value))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"invalid {name}.{key}: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path) -> "ScenarioConfig":
@@ -186,103 +209,33 @@ class ScenarioConfig:
                 raise ConfigError(f"override value is not valid JSON: {raw!r}") from exc
             self._merge({parts[0]: {parts[1]: value}})
 
-    # builders: converting to module types is where validation bites
     def build_grid(self, N: int | None = None) -> GridSpec:
-        try:
-            return GridSpec.centered(
-                N=_integer(N if N is not None else self.grid.N),
-                L=_finite(self.grid.L),
-                hbar=_finite(self.grid.hbar),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid grid: {exc}") from exc
+        with _rejected_as("grid"):
+            return GridSpec.centered(N=self.grid.N if N is None else N, L=self.grid.L,
+                                     hbar=self.grid.hbar)
 
     def build_window(self, g: GridSpec) -> State:
-        try:
-            if self.window.file is not None:
-                psi, gfile = load_state(self.window.file)
-                if gfile != g:
-                    raise ConfigError("window file grid does not match scenario grid")
-                w = norm(psi, g)
-                return State(psi.values / w)
-            real, imag = self.window.gamma  # exactly two entries
-            return gaussian_window(complex(_finite(real), _finite(imag)), g)
-        except ConfigError:
-            raise
-        except (OSError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid window: {exc}") from exc
+        with _rejected_as("window"):
+            if self.window.file is None:
+                return gaussian_window(self.window.gamma, g)
+            psi, gfile = load_state(self.window.file)
+            if gfile != g:
+                raise ConfigError("window file grid does not match scenario grid")
+            return State(psi.values / norm(psi, g))
 
     def build_lattice(self) -> PointSet:
-        try:
-            box = Box.from_pairs([[_finite(v) for v in pair] for pair in self.lattice.box])
-            return separable_lattice(_finite(self.lattice.alpha), _finite(self.lattice.beta), box)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid lattice: {exc}") from exc
-
-    def energy_sweep(self) -> list[float]:
-        E = self.ellipsoid.E
-        values = list(E) if isinstance(E, (list, tuple)) else [E]
-        if not values:
-            raise ConfigError("ellipsoid energies must not be empty")
-        try:
-            return [_finite(v) for v in values]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid ellipsoid energies: {E!r}") from exc
+        with _rejected_as("lattice"):
+            return separable_lattice(self.lattice.alpha, self.lattice.beta,
+                                     Box.from_pairs(self.lattice.box))
 
     def build_ellipsoid(self, E: float | None = None) -> Ellipsoid:
-        try:
-            M = np.array([[_finite(v) for v in row] for row in self.ellipsoid.M])
-            H = QuadraticHamiltonian(M)
-            energy = _finite(E) if E is not None else self.energy_sweep()[0]
-            return Ellipsoid(H, energy)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid ellipsoid: {exc}") from exc
+        """The ellipsoid at energy E, the first of ``ellipsoid.E`` by default."""
+        with _rejected_as("ellipsoid"):
+            return Ellipsoid(QuadraticHamiltonian(self.ellipsoid.M),
+                             self.ellipsoid.E[0] if E is None else E)
 
-    def t_values(self) -> list[float]:
-        try:
-            return [_finite(t) for t in self.deformation.t_values]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid deformation t values: {exc}") from exc
-
-    def build_flow(self) -> tuple[TruncatedHamiltonian, list[float], float, float]:
-        """The truncated Hamiltonian of the flow run and its start z0, time t
-        and dt_max.  The length of z0 is left to the flow kernel, which checks
-        it against the ellipsoid."""
-        flow = self.flow
-        try:
-            th = TruncatedHamiltonian(self.build_ellipsoid(), _finite(flow.eps))
-            dt_max = _finite(flow.dt_max)
-            if dt_max <= 0.0:
-                raise ValueError(f"dt_max must be positive, got {dt_max!r}")
-            return th, [_finite(v) for v in flow.z0], _finite(flow.t), dt_max
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid flow: {exc}") from exc
-
-    def tolerance_values(self) -> tuple[float, float]:
-        """(boundary_tol, eps_max) as floats, boundary_tol >= 0 and the cap
-        eps_max > 0."""
-        try:
-            boundary_tol = _finite(self.tolerances.boundary_tol)
-            eps_max = _finite(self.tolerances.eps_max)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid tolerances: {exc}") from exc
-        if not (boundary_tol >= 0.0 and eps_max > 0.0):
-            raise ConfigError(f"invalid tolerances: need boundary_tol >= 0 and eps_max > 0, "
-                              f"got {boundary_tol!r} and {eps_max!r}")
-        return boundary_tol, eps_max
-
-    def covariance_grids(self) -> list[int]:
-        """The grid sizes N to compare, the scenario grid's when none is set."""
-        if not self.covariance.grids:
-            return [self.build_grid().N]
-        try:
-            return [_integer(n) for n in self.covariance.grids]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"invalid covariance grids: {exc}") from exc
-
-    def covariance_cases(self) -> list[tuple[float, float, float]]:
-        """The covariance cases as (t, q, p) triples."""
-        try:
-            return [(_finite(t), _finite(q), _finite(p)) for t, q, p in self.covariance.cases]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid covariance cases: {exc}") from exc
+    def build_flow(self) -> TruncatedHamiltonian:
+        """The truncated Hamiltonian of the flow run.  The length of
+        ``flow.z0`` is left to the flow kernel, which checks it against the
+        ellipsoid."""
+        return TruncatedHamiltonian(self.build_ellipsoid(), self.flow.eps)

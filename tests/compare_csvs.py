@@ -2,9 +2,9 @@
 
     python tests/compare_csvs.py PARENT_REV
 
-Runs the six subcommands with ``--no-timestamp`` on four configs: the
+Runs the six subcommands with ``--no-timestamp`` on these configs: the
 built-in default, the tests' ``SMALL_CONFIG`` (read from
-``tests/test_config_cli.py``) and both ``scenarios/*.json``.  Those flows
+``tests/test_config_cli.py``) and every ``scenarios/*.json``.  Those flows
 start on the plateau, so ``flow`` also runs from two starts in the cutoff's
 transition shell, where every RK4 stage projects onto the ellipsoid: one on
 a coupled 2 x 2 M and one on a 4 x 4 M (n = 2).  It runs them

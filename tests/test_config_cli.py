@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import shutil
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gaborflow.cli import main
-from gaborflow.config import ConfigError, ScenarioConfig
+from gaborflow.cli import _COMMANDS, main
+from gaborflow.config import _FIELDS, ConfigError, ScenarioConfig
+from gaborflow.frame import FRAME_THRESHOLD
 
 SMALL_CONFIG = {
     "grid": {"N": 64, "L": 12.0},
@@ -23,6 +30,14 @@ SMALL_CONFIG = {
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIG))
+    return path
+
+
+@pytest.fixture(scope="module")
+def shared_config(tmp_path_factory):
+    """SMALL_CONFIG for tests that run many examples on one file."""
+    path = tmp_path_factory.mktemp("shared") / "config.json"
     path.write_text(json.dumps(SMALL_CONFIG))
     return path
 
@@ -48,7 +63,7 @@ class TestScenarioConfig:
         cfg = ScenarioConfig()
         cfg.apply_overrides(["grid.N=256", "ellipsoid.E=[0.5,1.0]"])
         assert cfg.build_grid().N == 256
-        assert cfg.energy_sweep() == [0.5, 1.0]
+        assert cfg.ellipsoid.E == [0.5, 1.0]
 
     def test_bad_override_path(self):
         cfg = ScenarioConfig()
@@ -78,6 +93,27 @@ class TestScenarioConfig:
 EMPTY_BOX = "lattice.box=[[1.5,1.8],[1.5,1.8]]"
 # 1 followed by 400 zeros: a JSON integer that float() cannot hold
 HUGE = "1" + "0" * 400
+
+FIELDS = [f"{section}.{key}" for section, keys in _FIELDS.items() for key in keys]
+# JSON values that no field accepts as a number: strings, booleans, null,
+# objects, NaN, +-inf, integers too large for a float (309 to 400 digits),
+# and nonempty lists of these.  No finite number is drawn, so no value that
+# a field accepts can size up a run.
+_TOO_LARGE = st.integers(min_value=2 ** 1024, max_value=10 ** 400 - 1)
+_SCALARS = st.one_of(
+    st.text(alphabet=string.ascii_letters, max_size=5),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    _TOO_LARGE,
+    _TOO_LARGE.map(lambda n: -n),
+)
+MALFORMED = st.recursive(
+    st.one_of(_SCALARS, st.dictionaries(st.text(alphabet=string.ascii_letters, max_size=3),
+                                        _SCALARS, min_size=1, max_size=1)),
+    lambda inner: st.lists(inner, min_size=1, max_size=3),
+    max_leaves=8,
+)
 
 
 def run_cli(args):
@@ -319,6 +355,12 @@ class TestCliCommands:
                      id="covariance-covariance.cases=[[HUGE,0,0]]"),
         pytest.param("count", f"tolerances.boundary_tol={HUGE}",
                      id="count-tolerances.boundary_tol=HUGE"),
+        # fields that the subcommand does not read fail at load all the same
+        ("deform", 'flow.eps="x"'),
+        ("flow", "lattice.alpha=null"),
+        ("count", "grid.N=64.5"),
+        ("bounds", 'covariance.grids=["x"]'),
+        ("epsilon", "deformation.t_values=[NaN]"),
     ])
     def test_malformed_field_exits_2(self, small_config, tmp_path, command, override, capsys):
         # several overrides are separated by spaces
@@ -328,6 +370,25 @@ class TestCliCommands:
                         "--no-timestamp", *overrides])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @given(field=st.sampled_from(FIELDS), command=st.sampled_from(sorted(_COMMANDS)),
+           value=MALFORMED)
+    @settings(max_examples=300, deadline=None)
+    def test_any_malformed_field_exits_2_under_any_command(self, field, command, value,
+                                                            shared_config):
+        # null is the scenario grid for covariance.grids and no file for
+        # window.file; a string names a window file
+        assume(not (value is None and field in {"covariance.grids", "window.file"}))
+        assume(not (isinstance(value, str) and field == "window.file"))
+        out = shared_config.parent / "out"
+        shutil.rmtree(out, ignore_errors=True)  # a failing example's CSV stays its own
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli([command, "--config", str(shared_config), "--out", str(out),
+                            "--no-timestamp", "--override", f"{field}={json.dumps(value)}"])
+        assert code == 2
+        assert "config error" in err.getvalue()
         assert not list(out.glob("*.csv"))
 
     def test_covariance_on_a_malformed_scenario_grid_exits_2(self, tmp_path, capsys):
@@ -405,6 +466,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_RUNS = {
     "deform_sweep.json": ("deform", ["grid.N=64"]),
     "covariance_convergence.json": ("covariance", ["covariance.grids=[32,64]"]),
+    # a smaller torus-covering lattice: alpha = beta = 1/2 on N = 64, L = 8
+    "torus_sweep.json": ("deform", ["grid.N=64", "grid.L=8.0",
+                                    "lattice.box=[[-4.0,3.5],[-4.0,3.5]]"]),
 }
 
 
@@ -420,6 +484,22 @@ def test_scenario_runs_through_cli(name, tmp_path):
     assert run_cli(args) == 0
     rows = (tmp_path / f"{command}.csv").read_text().splitlines()[1:]
     if command == "deform":
-        assert len(rows) == len(cfg.energy_sweep()) * len(cfg.t_values())
+        assert len(rows) == len(cfg.ellipsoid.E) * len(cfg.deformation.t_values)
     else:
         assert len(rows) == 2
+
+
+def test_torus_sweep_keeps_a_live_lower_bound(tmp_path):
+    # the lattice covers the grid's torus (m = 1024 > N = 256), so A is not
+    # zero by counting, and moving the enclosed points keeps a frame
+    assert run_cli(["deform", "--config", str(SCENARIOS / "torus_sweep.json"),
+                    "--out", str(tmp_path), "--no-timestamp"]) == 0
+    rows = [[float(c) for c in line.split(",")]
+            for line in (tmp_path / "deform.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 18
+    for t, E, _, moved, A, B, A_prime, B_prime, rel_dA, _ in rows:
+        assert moved == {1.3: 35, 4.3: 103}[E]
+        assert A == pytest.approx(3.9701767139642268, rel=1e-13)
+        assert B == pytest.approx(4.0299348813803455, rel=1e-13)
+        assert A_prime > FRAME_THRESHOLD * B_prime
+        assert rel_dA > 0.0 or t == 0.0
