@@ -3,9 +3,10 @@ when a file or an override sets it, whichever subcommand then runs.
 
 Unknown sections and keys are rejected, and a value of the wrong kind fails
 at load, so that typos in config files fail loudly instead of silently
-running defaults.  The builders turn the converted values into the numeric
-module types, whose own checks (a power-of-two N, a positive definite M,
-Im Gamma > 0, a box with lower < upper) also fail as config errors.
+running defaults.  The module types' own checks on single fields (a
+power-of-two N, Im Gamma > 0, a positive definite M, a box with
+lower < upper) run at load too; building the lattice and reading the window
+file wait for the builders, which report their failures as config errors.
 """
 
 from __future__ import annotations
@@ -89,6 +90,35 @@ def _path(value) -> str:
     return value
 
 
+def _grid_size(value) -> int:
+    """A count that a grid accepts as N: a power of two >= 16."""
+    N = _count(value)
+    GridSpec.centered(N)
+    return N
+
+
+def _gamma(value) -> complex:
+    """A Gaussian window parameter [re, im] with im > 0."""
+    gamma = complex(*_list(_real, 2)(value))
+    if not gamma.imag > 0.0:
+        raise ValueError(f"gaussian window requires Im(Gamma) > 0, got {value!r}")
+    return gamma
+
+
+def _hamiltonian_matrix(value) -> np.ndarray:
+    """A 2n x 2n symmetric positive definite M, as rows of reals."""
+    M = np.array(_list(_list(_real))(value))
+    QuadraticHamiltonian(M)
+    return M
+
+
+def _box(value) -> list:
+    """Box pairs [lower, upper], each with lower < upper."""
+    pairs = _list(_list(_real, 2))(value)
+    Box.from_pairs(pairs)
+    return pairs
+
+
 def _energies(value) -> list[float]:
     """One energy or a nonempty list of them, as a list."""
     if not isinstance(value, list):
@@ -100,21 +130,20 @@ def _energies(value) -> list[float]:
 
 # section -> key -> (kind, default)
 _FIELDS = {
-    "grid": {"N": (_count, 128), "L": (_positive, 12.0), "hbar": (_positive, HBAR_GABOR)},
-    # a Gaussian parameter [re, im] with im > 0, unless a state file is given
+    "grid": {"N": (_grid_size, 128), "L": (_positive, 12.0), "hbar": (_positive, HBAR_GABOR)},
+    # the Gaussian parameter is not read when a state file is given
     "window": {
-        "gamma": (lambda value: complex(*_list(_real, 2)(value)), [0.0, 1.0]),
+        "gamma": (_gamma, [0.0, 1.0]),
         "file": (_optional(_path), None),
     },
     "lattice": {
         "alpha": (_positive, 2.0 ** -0.5),
         "beta": (_positive, 2.0 ** -0.5),
-        "box": (_list(_list(_real, 2)), [[-6.0, 6.0], [-6.0, 6.0]]),
+        "box": (_box, [[-6.0, 6.0], [-6.0, 6.0]]),
     },
-    # M: rows of equal length, which numpy checks; E: one energy, or a list
-    # of them for a sweep
+    # E: one energy, or a list of them for a sweep
     "ellipsoid": {
-        "M": (lambda value: np.array(_list(_list(_real))(value)), [[1.0, 0.0], [0.0, 1.0]]),
+        "M": (_hamiltonian_matrix, [[1.0, 0.0], [0.0, 1.0]]),
         "E": (_energies, 0.5),
     },
     "deformation": {"t_values": (_list(_real), [0.0, 0.2, 0.4, 0.6, 0.8])},
@@ -128,7 +157,7 @@ _FIELDS = {
     "covariance": {
         "cases": (_list(_list(_real, 3)),
                   [[0.0, 1.0, 0.0], [math.pi / 2.0, 1.0, 0.0], [0.7, 0.5, 0.5]]),
-        "grids": (_optional(_list(_count)), None),
+        "grids": (_optional(_list(_grid_size)), None),
     },
     "tolerances": {"boundary_tol": (_non_negative, 1e-9), "eps_max": (_positive, 1.0)},
 }

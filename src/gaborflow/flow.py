@@ -92,7 +92,8 @@ def _region(z: list, th: TruncatedHamiltonian):
     reaches the surface within (H - E)/inf|grad H|, with the inf taken over
     {H >= E}.  Lower: the mean value theorem along the projection segment
     plus the enclosing-ball bound.  The projection, a list of floats, is
-    only available (non-None) when the exact solve ran.
+    only available (non-None) when the exact solve ran; it reuses H(z), so
+    H is evaluated once per call.
     """
     ell = th.ell
     grad, Hval = ell.H.gradient_and_value(z)
@@ -111,7 +112,7 @@ def _region(z: list, th: TruncatedHamiltonian):
     d_lo = max(r - ell.outer_radius, delta / (ell.H.max_eigenvalue * reach))
     if d_lo >= th.eps:
         return _OUTSIDE, d_lo, None, grad, Hval
-    d, proj = distance_to_ellipsoid(z, ell)
+    d, proj = distance_to_ellipsoid(z, ell, Hval)
     proj = proj.tolist()
     if d <= half:
         return _PLATEAU, d, proj, grad, Hval

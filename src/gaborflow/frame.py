@@ -12,6 +12,7 @@ not asserted.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -28,7 +29,15 @@ from .lattice import (
     max_safe_epsilon,
 )
 from .metaplectic import metaplectic_lift
-from .quantum import GridSpec, State, apply_heisenberg, heisenberg_factors, norm
+from .quantum import (
+    _SQRT_HALF,
+    GridSpec,
+    State,
+    _fold,
+    apply_heisenberg,
+    heisenberg_factors,
+    norm,
+)
 
 __all__ = [
     "GaborSystem",
@@ -45,6 +54,7 @@ __all__ = [
 
 WINDOW_NORM_TOL = 1e-10
 FRAME_THRESHOLD = 1e-10  # A > threshold * B counts as a frame
+PARITY_SPLIT_TOL = 1e-12  # the parity split's largest error, relative to A (B if A = 0)
 
 REPORT_COLUMNS = ("t", "E", "eps", "moved", "A", "B", "A_prime", "B_prime", "rel_dA", "rel_dB")
 
@@ -122,8 +132,9 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
         build, rows = base
         base = (build(), rows)
     factors = heisenberg_factors(sys.points.points, sys.grid, *base)
-    T = apply_heisenberg(factors, sys.window, sys.grid)
-    return np.conj(T) * np.sqrt(sys.grid.dx)
+    D = apply_heisenberg(factors, sys.window, sys.grid)
+    np.conj(D, out=D)
+    return np.multiply(D, np.sqrt(sys.grid.dx), out=D)
 
 
 def frame_operator(sys: GaborSystem) -> np.ndarray:
@@ -134,8 +145,8 @@ def frame_operator(sys: GaborSystem) -> np.ndarray:
 
 
 def frame_bounds(sys: GaborSystem) -> FrameBounds:
-    """Extremal frame-operator eigenvalues via a dense Hermitian solve on the
-    smaller side.
+    """Extremal frame-operator eigenvalues via dense Hermitian solves on the
+    smaller side, split by parity where the system allows it.
 
     With m >= N points the N x N frame operator S = D* D is solved.  With
     m < N the m x m Gram matrix D D* is solved instead: it shares the nonzero
@@ -143,14 +154,106 @@ def frame_bounds(sys: GaborSystem) -> FrameBounds:
     S has rank at most m < N.  Intended for min(m, N) <= 2048; certified
     extremal eigenvalues at desk scale are preferred over iterative solvers
     that would need convergence tuning.
+
+    Every metaplectic operator commutes with the parity psi(x) -> psi(-x),
+    so a point set symmetric under z -> -z with an even window gives an S
+    that commutes with the grid parity, up to the seam x = -L/2 and the
+    Nyquist momentum.  Such a system is solved as two blocks of about half
+    the size (``_parity_split``); the split is measured on D and used only
+    when it provably moves neither bound by more than ``PARITY_SPLIT_TOL``
+    relative.  Any other system gets the one-block solve.
     """
-    if len(sys.points) >= sys.grid.N:
-        evals = np.linalg.eigvalsh(frame_operator(sys))
-        return FrameBounds.from_extremes(evals[0], evals[-1])
     D = analysis_matrix(sys)
+    bounds = _parity_split(D, sys.points.points)
+    if bounds is None:
+        bounds = FrameBounds.from_extremes(*_extremes(D))
+    return bounds
+
+
+def _extremes(D: np.ndarray) -> tuple[float, float]:
+    """Lowest and highest eigenvalue of D* D from one dense Hermitian solve
+    on the smaller side of D; the lowest is 0 exactly when D has fewer rows
+    than columns."""
+    if D.shape[0] >= D.shape[1]:
+        S = D.conj().T @ D
+        evals = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+        return evals[0], evals[-1]
     G = D @ D.conj().T
     evals = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-    return FrameBounds.from_extremes(0.0, evals[-1])
+    return 0.0, evals[-1]
+
+
+def _negation_partners(z: np.ndarray) -> np.ndarray | None:
+    """partner[i], the index of the point -z[i], for every row of z; None
+    when some point's negation is not in the set."""
+    order = np.lexsort(z.T[::-1])
+    mirrored = np.lexsort(-z.T[::-1])
+    if not np.array_equal(z[order], -z[mirrored]):
+        return None
+    partner = np.empty(len(z), dtype=np.intp)
+    partner[order] = mirrored
+    return partner
+
+
+def _parity_split(D: np.ndarray, z: np.ndarray) -> FrameBounds | None:
+    """Frame bounds of the analysis matrix D of the points z from its even
+    and odd parity blocks, or None when the split is not safe.
+
+    Each pair of rows r_a, r_b of points a = -b becomes (r_a + r_b)/sqrt 2
+    and (r_a - r_b)/sqrt 2, a self-paired point (the origin) keeps its row,
+    and the columns are written in the bases of ``_fold``.  That is a
+    unitary change of both sides, so D*D keeps its spectrum.  The sums and
+    the self-paired rows in the even basis form the even block, (N/2 + 1)
+    columns; the differences in the odd basis form the odd block, (N/2 - 1)
+    columns.  Each is solved on its smaller side: B is the larger block top,
+    A the smaller block bottom.
+
+    What the blocks leave out is the cross-parity remainder R: the odd
+    parts of the sums and of the self-paired rows, and the even parts of
+    the differences, read from the same folded matrix.  By Weyl's inequality for singular values, no eigenvalue of
+    D*D lies further than err = |R|_F (2 sqrt(B) + |R|_F) from the blocks'.
+    The blocks' bounds are returned only when err is at most
+    ``PARITY_SPLIT_TOL`` times the smaller nonzero bound and no spectrum
+    within err changes the frame verdict.  Before any fold, a first O(m)
+    test reads R at the two self-mirrored columns, the seam x = -L/2 and
+    x = 0: beyond PARITY_SPLIT_TOL sqrt(m), R alone would fail the guard,
+    because B <= |D|_F^2 = m for unit-norm rows.
+    """
+    partner = _negation_partners(z)
+    if partner is None:
+        return None
+    m, N = D.shape
+    h = N // 2
+    a = np.flatnonzero(partner > np.arange(m))
+    own = np.flatnonzero(partner == np.arange(m))
+    if a.size == 0:
+        return None
+    ends = D[:, [0, h]]
+    seam = ends[a] - ends[partner[a]]
+    if math.sqrt(0.5 * np.vdot(seam, seam).real) > PARITY_SPLIT_TOL * math.sqrt(m):
+        return None
+    # rows: the sums, the self-paired rows, the differences
+    ke = a.size + own.size
+    mixed = np.empty_like(D)
+    sums, diffs = mixed[:a.size], mixed[ke:]
+    Da, Db = D[a], D[partner[a]]
+    np.add(Da, Db, out=sums)
+    np.subtract(Da, Db, out=diffs)
+    del Da, Db
+    sums *= _SQRT_HALF
+    diffs *= _SQRT_HALF
+    mixed[a.size:ke] = D[own]
+    even, odd = (part.T for part in _fold(mixed.T))
+    r = math.sqrt(sum(np.vdot(c, c).real for c in (even[ke:], odd[:ke])))
+    (lo_e, hi_e), (lo_o, hi_o) = _extremes(even[:ke]), _extremes(odd[ke:])
+    lo, hi = min(lo_e, lo_o), max(hi_e, hi_o)
+    err = r * (2.0 * math.sqrt(max(hi, 0.0)) + r)
+    bounds = FrameBounds.from_extremes(lo, hi)
+    if err > PARITY_SPLIT_TOL * (bounds.A or bounds.B):
+        return None
+    verdict_holds = (lo - err > FRAME_THRESHOLD * (hi + err)
+                     or lo + err <= FRAME_THRESHOLD * (hi - err))
+    return bounds if verdict_holds else None
 
 
 def full_phase_space_points(g: GridSpec) -> PointSet:

@@ -269,7 +269,9 @@ def _secular_root(psi, lo, hi):
     return math.nan
 
 
-def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
+def distance_to_ellipsoid(
+    z, ell: Ellipsoid, Hz: float | None = None
+) -> tuple[float, np.ndarray]:
     """Euclidean distance from z to the surface {H = E} and the nearest point.
 
     The nearest point is w = (I + lam*M)^{-1} z, where the Lagrange
@@ -307,7 +309,9 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     exactly 2n coordinates is used as it is, as ``hamiltonian_field`` passes
     its stages; any other z is converted first, and a wrong number of
     coordinates raises ValueError.  A list, a tuple and an array of the same
-    floats give bitwise-equal results.
+    floats give bitwise-equal results.  A caller that already holds H(z),
+    as ``H.gradient_and_value`` computes it for that list, passes it as
+    ``Hz`` and saves its second evaluation.
 
     Raises
     ------
@@ -319,7 +323,8 @@ def distance_to_ellipsoid(z, ell: Ellipsoid) -> tuple[float, np.ndarray]:
     H = ell.H
     zs = z if type(z) is list and len(z) == 2 * H.dim else _floats(z, H.dim)
     E = ell.E
-    Hz = H.gradient_and_value(zs)[1]
+    if Hz is None:
+        Hz = H.gradient_and_value(zs)[1]
     if not math.isfinite(Hz):
         raise ValueError(f"point must be finite with finite H, got {zs}")
     if abs(Hz - E) <= ON_SURFACE_REL_TOL * E:

@@ -25,7 +25,7 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quantum import GridSpec, State, gaussian_window, heisenberg
+from .quantum import _SQRT_HALF, GridSpec, State, _fold, gaussian_window, heisenberg
 from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
@@ -41,7 +41,6 @@ UNITARITY_TOL = 1e-9
 _PROBE_SEED = 20260314
 _PROBE_COUNT = 8
 _PROBE_SPREAD = 0.4
-_SQRT_HALF = math.sqrt(0.5)
 
 
 def _circulant(c: np.ndarray) -> np.ndarray:
@@ -119,18 +118,6 @@ def _parity_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     even[[0, h], 1:h] *= _SQRT_HALF
     even[1:h, [0, h]] = even[[0, h], 1:h].conj().T
     return even, odd
-
-
-def _fold(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the columns of an (N, k) block in the even basis
-    e_0, (e_j + e_{N-j}) / sqrt 2 for 0 < j < N/2, e_{N/2}, and the odd basis
-    (e_j - e_{N-j}) / sqrt 2 for 0 < j < N/2."""
-    N = psi.shape[0]
-    h = N // 2
-    mirror = psi[N - 1:h:-1]
-    even = psi[:h + 1].copy()
-    even[1:h] = (psi[1:h] + mirror) * _SQRT_HALF
-    return even, (psi[1:h] - mirror) * _SQRT_HALF
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

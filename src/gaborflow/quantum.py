@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 HBAR_GABOR = 1.0 / (2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,24 @@ class State:
         return self.values.size
 
 
+def _fold(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the columns of an (N, k) block in the grid parity's
+    even basis e_0, (e_j + e_{N-j}) / sqrt 2 for 0 < j < N/2, e_{N/2}, and
+    its odd basis (e_j - e_{N-j}) / sqrt 2 for 0 < j < N/2.
+
+    The parity is psi(x) -> psi(-x), that is j -> -j mod N on a grid
+    centered on the origin: e_0 (x = -L/2, the periodic seam) and e_{N/2}
+    (x = 0) are their own mirrors.  Both parts keep psi's memory order, so
+    the parts of a transposed block come out transposed.
+    """
+    N = psi.shape[0]
+    h = N // 2
+    mirror = psi[N - 1:h:-1]
+    even = np.copy(psi[:h + 1])
+    even[1:h] = (psi[1:h] + mirror) * _SQRT_HALF
+    return even, (psi[1:h] - mirror) * _SQRT_HALF
+
+
 def _check_grid(a: State, g: GridSpec):
     if len(a) != g.N:
         raise ValueError(f"state length {len(a)} does not match grid N={g.N}")
@@ -133,13 +152,16 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
 
 def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
     """Shift ramps and modulations of T(z_j) for every row z_j = (q_j, p_j) of
-    an (m, 2) array: two read-only (m, N) complex arrays.
+    an (m, 2) array, as ``(ramp, phase, rows, ramp_rows, phase_rows)``: two
+    (m, N) complex arrays whose ``rows`` are replaced by ``ramp_rows`` and
+    ``phase_rows``.  All are read-only.
 
     They depend on the points and the grid, not on the window, so a sweep of
     windows over one point set builds them once (``apply_heisenberg`` does
-    the rest).  With ``base``, the factors of a point set that agrees with
-    ``points`` outside the row indices ``changed``, only those rows are
-    rebuilt, into a copy of ``base``; every row is bitwise the row built from
+    the rest).  Built from scratch, no row is replaced.  With ``base``, the
+    factors of a point set that agrees with ``points`` outside the row
+    indices ``changed``, only those rows are rebuilt: base's (m, N) arrays
+    are shared, not copied.  Every row is bitwise the row built from
     scratch.  All rows are checked either way, and one wrap-around warning
     is emitted when some |q_j| >= L/2.
     """
@@ -156,35 +178,47 @@ def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
         )
     if base is None:
         ramp, phase = _ramp_and_phase(z, g)
-    elif len(changed) == 0:
-        return base
+        rows = np.empty(0, dtype=np.intp)
     else:
-        ramp, phase = (f.copy() for f in base)
-        ramp[changed], phase[changed] = _ramp_and_phase(z[changed], g)
-    ramp.setflags(write=False)
-    phase.setflags(write=False)
-    return ramp, phase
+        ramp, phase = base[:2]
+        rows = np.array(changed, dtype=np.intp)
+    factors = (ramp, phase, rows) + _ramp_and_phase(z[rows], g)
+    for f in factors:
+        f.setflags(write=False)
+    return factors
 
 
 def _ramp_and_phase(z: np.ndarray, g: GridSpec) -> tuple:
     # row by row elementwise, so a row's factors do not depend on the others
+    # and each exponential runs in place in its argument
     q, p = z[:, :1], z[:, 1:]
-    ramp = np.exp(-2j * math.pi * np.fft.fftfreq(g.N, d=g.dx) * q)
-    phase = np.exp(1j * (p * g.xs() - 0.5 * p * q) / g.hbar)
-    return ramp, phase
+    ramp = -2j * math.pi * np.fft.fftfreq(g.N, d=g.dx) * q
+    phase = 1j * (p * g.xs() - 0.5 * p * q) / g.hbar
+    return np.exp(ramp, out=ramp), np.exp(phase, out=phase)
 
 
 def apply_heisenberg(factors, psi: State, g: GridSpec) -> np.ndarray:
     """Samples of T(z_j) psi from the ``heisenberg_factors`` of the z_j: one
     FFT of psi, one (m, N) shift-ramp product, one inverse FFT along the rows
     (the band-limited circular shift psi(x) -> psi(x - q_j)) and one
-    modulation product."""
+    modulation product, each row as if built alone.
+
+    The result is the only (m, N) array allocated: the inverse FFT and the
+    modulation run in place in it.  The products keep their operand order,
+    spectrum * ramp and phase * shifted, because numpy's complex product
+    rounds differently with its operands swapped.
+    """
     _check_grid(psi, g)
-    ramp, phase = factors
-    # named, not a temporary: numpy would multiply into a temporary in place
-    # with the operands swapped, and its complex product rounds differently
-    shifted = np.fft.ifft(np.fft.fft(psi.values) * ramp, axis=1)
-    return phase * shifted
+    ramp, phase, rows, ramp_rows, phase_rows = factors
+    spectrum = np.fft.fft(psi.values)
+    out = np.multiply(spectrum, ramp)
+    out[rows] = np.multiply(spectrum, ramp_rows)
+    np.fft.ifft(out, axis=1, out=out)
+    rebuilt = out[rows]
+    np.multiply(phase_rows, rebuilt, out=rebuilt)
+    np.multiply(phase, out, out=out)
+    out[rows] = rebuilt
+    return out
 
 
 def gaussian_window(Gamma: complex, g: GridSpec) -> State:

@@ -73,9 +73,9 @@ class TestScenarioConfig:
             cfg.apply_overrides(["grid.NN=256"])
 
     def test_invalid_window_gamma(self):
-        cfg = ScenarioConfig.from_dict({"window": {"gamma": [1.0, -1.0]}})
-        with pytest.raises(ConfigError, match="window"):
-            cfg.build_window(cfg.build_grid())
+        # rejected at load, before any window is built
+        with pytest.raises(ConfigError, match="window.gamma"):
+            ScenarioConfig.from_dict({"window": {"gamma": [1.0, -1.0]}})
 
     def test_window_file_round_trip(self, tmp_path):
         from gaborflow.quantum import gaussian_window, save_state
@@ -361,6 +361,12 @@ class TestCliCommands:
         ("count", "grid.N=64.5"),
         ("bounds", 'covariance.grids=["x"]'),
         ("epsilon", "deformation.t_values=[NaN]"),
+        # a module type's own check on one field runs at load too
+        ("flow", "grid.N=100"),
+        ("bounds", "ellipsoid.M=[[1,0],[0,-1]]"),
+        ("count", "window.gamma=[0,-1]"),
+        ("flow", "lattice.box=[[1,0],[0,1]]"),
+        ("count", "covariance.grids=[32,48]"),
     ])
     def test_malformed_field_exits_2(self, small_config, tmp_path, command, override, capsys):
         # several overrides are separated by spaces

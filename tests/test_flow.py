@@ -259,6 +259,27 @@ class TestTrajectory:
         # four RK4 stages per step, the first of which also gives the row's H
         assert len(calls) == 4 * k + 1
 
+    def test_one_evaluation_of_H_per_shell_field(self, circle_truncated, monkeypatch):
+        # the shell projection reuses the H(z) of the classification
+        calls = []
+        H = circle_truncated.ell.H
+        evaluate = type(H).gradient_and_value
+
+        def counting(self, z):
+            calls.append(z)
+            return evaluate(self, z)
+
+        monkeypatch.setattr(type(H), "gradient_and_value", counting)
+        z = list(STARTS["shell"])
+        region = flow._region(z, circle_truncated)[0]
+        assert region == flow._SHELL and len(calls) == 1
+        calls.clear()
+        hamiltonian_field(z, circle_truncated)
+        assert len(calls) == 1
+        calls.clear()
+        flow_trajectory(z, circle_truncated, 0.02, 1e-3)
+        assert len(calls) == 4 * 20 + 1
+
 
 def numpy_field(z, th):
     """J grad(H chi) and H chi at z evaluated with numpy on the point and

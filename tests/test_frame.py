@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gaborflow import frame
 from gaborflow.frame import (
     FrameBounds,
     GaborSystem,
@@ -443,3 +446,145 @@ class TestCompareReports:
                  for E in energies]
         assert exact == [1, 5, 5, 9, 9, 13]
         assert [rep.moved_count for rep in reps] == exact
+
+
+def one_block_bounds(sys):
+    """The frame bounds from one dense solve on the smaller side, without
+    the parity split."""
+    D = analysis_matrix(sys)
+    if D.shape[0] >= D.shape[1]:
+        evals = np.linalg.eigvalsh(frame_operator(sys))
+        return FrameBounds.from_extremes(evals[0], evals[-1])
+    G = D @ D.conj().T
+    return FrameBounds.from_extremes(0.0, np.linalg.eigvalsh(0.5 * (G + G.conj().T))[-1])
+
+
+def torus_system(N, gamma, pairs, origin):
+    """An even Gaussian window on the grid with L = sqrt(N), so dx = dp, and
+    the points (i dx, j dp) of the integer pairs, their negations and, if
+    asked, the origin.  A modulation on the dp-lattice is periodic and a
+    shift by a multiple of dx permutes the grid, so the system commutes with
+    the grid parity to roundoff wherever its atoms reach."""
+    g = GridSpec.centered(N=N, L=math.sqrt(N))
+    ij = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    pts = np.concatenate([ij, -ij] + ([np.zeros((1, 2))] if origin else []))
+    pts = pts * [g.dx, g.dp]
+    return GaborSystem(gaussian_window(gamma, g), PointSet(pts, min(g.dx, g.dp)), g)
+
+
+def half_plane(N, step):
+    """One integer pair (i, j) of each pair +-(i, j), |i|, |j| < N/2, on
+    multiples of step."""
+    k = (N // 2 - 1) // step
+    return [(i * step, j * step) for i in range(k + 1) for j in range(-k, k + 1)
+            if i > 0 or j > 0]
+
+
+def wide_and_dense(sc):
+    """perfbench's `wide` (m = 289 < N = 512, atoms far from the seam) and
+    `dense` (m = 529 > N = 256, atoms at the seam) systems, M = I."""
+    N, L, half_box = {"wide": (512, 30.0, 6.0), "dense": (256, 16.0, 8.0)}[sc]
+    g = GridSpec.centered(N=N, L=L)
+    P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-half_box, half_box]] * 2))
+    return GaborSystem(gaussian_window(1j, g), P, g)
+
+
+def odd_window(g):
+    x = g.xs()
+    v = x * gaussian_window(1j, g).values
+    return State(v / math.sqrt(float(np.sum(np.abs(v) ** 2)) * g.dx))
+
+
+def fallback_systems():
+    """Systems that the first test of the split rejects, by name."""
+    g = GridSpec.centered(N=128, L=16.0)
+    phi = gaussian_window(0.3 + 1j, g)
+    sym = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]))
+    return {
+        # atoms reach the seam x = -L/2 with modulations off the dp-lattice
+        "seam": reference_system(),
+        "asymmetric box": GaborSystem(
+            phi, separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3.6], [-3, 3]])), g),
+        "odd window": GaborSystem(odd_window(g), sym, g),
+        "unpaired point": GaborSystem(phi, PointSet(sym.points[1:], sym.delta), g),
+    }
+
+
+class TestParitySplit:
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.sampled_from([32, 64, 128]),
+           re=st.floats(0.1, 1.0), sign=st.sampled_from([-1.0, 1.0]), im=st.floats(0.5, 2.0),
+           step=st.sampled_from([1, 2, 4]), many=st.booleans(), share=st.floats(0.0, 1.0),
+           origin=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # origin-free with m = N: the even block has N/2 rows for N/2 + 1 columns
+    @example(N=32, re=0.5, sign=1.0, im=1.0, step=1, many=True, share=0.0, origin=False, seed=0)
+    def test_bounds_equal_the_one_block_solve(self, N, re, sign, im, step, many, share,
+                                              origin, seed):
+        half = half_plane(N, step)
+        # m >= N takes at least N/2 pairs, up to 2N of them; m < N fewer than N/2
+        lo, hi = (N // 2, min(len(half), 2 * N)) if many else (1, N // 2 - 1)
+        count = lo + round(share * (hi - lo))
+        chosen = np.random.default_rng(seed).choice(len(half), size=count, replace=False)
+        sysT = torus_system(N, complex(sign * re, im), [half[i] for i in chosen], origin)
+        assert (len(sysT.points) >= N) == many
+        ref, got = one_block_bounds(sysT), frame_bounds(sysT)
+        assert (got.A == 0.0) == (ref.A == 0.0)
+        assert got.is_frame == ref.is_frame
+        assert abs(got.A - ref.A) <= 1e-12 * ref.A
+        assert abs(got.B - ref.B) <= 1e-12 * ref.B
+        if ref.A == 0.0:
+            # the guard's tolerance is then relative to B, which it meets here
+            assert frame._parity_split(analysis_matrix(sysT), sysT.points.points) == got
+
+    def test_symmetric_box_away_from_the_seam_splits(self):
+        g = GridSpec.centered(N=128, L=16.0)
+        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]))
+        sysS = GaborSystem(gaussian_window(0.3 + 1j, g), P, g)
+        got = frame._parity_split(analysis_matrix(sysS), P.points)
+        ref = one_block_bounds(sysS)
+        assert got is not None and got.A == ref.A == 0.0
+        assert abs(got.B - ref.B) <= 1e-12 * ref.B
+
+    @pytest.mark.parametrize("name, sysF", fallback_systems().items())
+    def test_fallback_is_the_one_block_solve(self, name, sysF, monkeypatch):
+        def no_fold(psi):
+            raise AssertionError("folded a system that the first test rejects")
+
+        # rejected before any fold: by the pairing or the self-mirrored columns
+        monkeypatch.setattr(frame, "_fold", no_fold)
+        assert frame._parity_split(analysis_matrix(sysF), sysF.points.points) is None
+        assert frame_bounds(sysF) == one_block_bounds(sysF)
+
+    def test_guard_rejects_an_odd_part_that_the_first_test_misses(self):
+        # the pairs sit where the window's odd part x g(x) is negligible at
+        # x = 0 and at the seam, so only the folded remainder sees it
+        g = GridSpec.centered(N=128, L=16.0)
+        x = g.xs()
+        v = (1.0 + 0.5 * x) * gaussian_window(1j, g).values
+        window = State(v / math.sqrt(float(np.sum(np.abs(v) ** 2)) * g.dx))
+        P = PointSet(np.array([[-3.0, 0.5], [0.0, 0.0], [3.0, -0.5]]), 1.0)
+        sysO = GaborSystem(window, P, g)
+        D = analysis_matrix(sysO)
+        assert np.max(np.abs(D[:, [0, 64]] - D[::-1, [0, 64]])) < 1e-12
+        assert frame._parity_split(D, P.points) is None
+        assert frame_bounds(sysO) == one_block_bounds(sysO)
+
+    @pytest.mark.parametrize("sc, energies, sizes", [("wide", (1.3, 40.0), [145, 144]),
+                                                     ("dense", (1.3, 20.0), [256])])
+    def test_every_wide_solve_splits_and_no_dense_one(self, sc, energies, sizes, monkeypatch):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            solved.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        H = QuadraticHamiltonian(np.eye(2))
+        # E = 40 moves every point of `wide`
+        ells = [Ellipsoid(H, E) for E in energies]
+        ts = [0.0, math.pi / 8, math.pi / 2]
+        reports = [rep for _, rep in ellipsoid_sweep(wide_and_dense(sc), ells, ts)]
+        # the undeformed bounds, then one solve per row with t != 0
+        solves = 1 + sum(rep.t != 0.0 for rep in reports)
+        assert solved == sizes * solves
