@@ -21,7 +21,15 @@ import numpy as np
 
 from .flow import TruncatedHamiltonian
 from .lattice import Box, Ellipsoid, PointSet, separable_lattice
-from .quantum import HBAR_GABOR, GridSpec, State, gaussian_window, load_state, norm
+from .quantum import (
+    HBAR_GABOR,
+    GridSpec,
+    State,
+    gaussian_parameter,
+    gaussian_window,
+    load_state,
+    norm,
+)
 from .symplectic import QuadraticHamiltonian
 
 __all__ = ["ConfigError", "ScenarioConfig"]
@@ -99,10 +107,7 @@ def _grid_size(value) -> int:
 
 def _gamma(value) -> complex:
     """A Gaussian window parameter [re, im] with im > 0."""
-    gamma = complex(*_list(_real, 2)(value))
-    if not gamma.imag > 0.0:
-        raise ValueError(f"gaussian window requires Im(Gamma) > 0, got {value!r}")
-    return gamma
+    return gaussian_parameter(complex(*_list(_real, 2)(value)))
 
 
 def _hamiltonian_matrix(value) -> np.ndarray:

@@ -64,7 +64,7 @@ class GaborSystem:
     """A unit-norm window, a finite 2-D phase-space point set, and a grid.
 
     ``_base`` is empty, or ``(build, rows)`` where ``build()`` returns the
-    ``heisenberg_factors`` of a point set that agrees with ``points`` outside
+    ``heisenberg_factors``, built from scratch, of a point set that agrees with ``points`` outside
     the indices ``rows``.  The analysis then splices the system's factors
     from those.
     """
@@ -139,7 +139,11 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
 
 def frame_operator(sys: GaborSystem) -> np.ndarray:
     """Dense Hermitian PSD frame operator S = D* D (N x N)."""
-    D = analysis_matrix(sys)
+    return _gram(analysis_matrix(sys))
+
+
+def _gram(D: np.ndarray) -> np.ndarray:
+    """D* D, made exactly Hermitian by averaging with its adjoint."""
     S = D.conj().T @ D
     return 0.5 * (S + S.conj().T)
 
@@ -175,12 +179,9 @@ def _extremes(D: np.ndarray) -> tuple[float, float]:
     on the smaller side of D; the lowest is 0 exactly when D has fewer rows
     than columns."""
     if D.shape[0] >= D.shape[1]:
-        S = D.conj().T @ D
-        evals = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+        evals = np.linalg.eigvalsh(_gram(D))
         return evals[0], evals[-1]
-    G = D @ D.conj().T
-    evals = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-    return 0.0, evals[-1]
+    return 0.0, np.linalg.eigvalsh(_gram(D.conj().T))[-1]
 
 
 def _negation_partners(z: np.ndarray) -> np.ndarray | None:

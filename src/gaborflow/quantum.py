@@ -29,6 +29,7 @@ __all__ = [
     "heisenberg",
     "heisenberg_factors",
     "apply_heisenberg",
+    "gaussian_parameter",
     "gaussian_window",
     "save_state",
     "load_state",
@@ -159,10 +160,11 @@ def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
     They depend on the points and the grid, not on the window, so a sweep of
     windows over one point set builds them once (``apply_heisenberg`` does
     the rest).  Built from scratch, no row is replaced.  With ``base``, the
-    factors of a point set that agrees with ``points`` outside the row
-    indices ``changed``, only those rows are rebuilt: base's (m, N) arrays
-    are shared, not copied.  Every row is bitwise the row built from
-    scratch.  All rows are checked either way, and one wrap-around warning
+    factors built from scratch (no replaced row) of a point set that agrees
+    with ``points`` outside the row indices ``changed``, only those rows are
+    rebuilt: base's (m, N) arrays are shared, not copied.  A base with
+    replaced rows is rejected, since its (m, N) arrays do not hold them.
+    Every row is bitwise the row built from scratch.  All rows are checked either way, and one wrap-around warning
     is emitted when some |q_j| >= L/2.
     """
     z = np.asarray(points, dtype=float)
@@ -180,7 +182,9 @@ def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
         ramp, phase = _ramp_and_phase(z, g)
         rows = np.empty(0, dtype=np.intp)
     else:
-        ramp, phase = base[:2]
+        ramp, phase, base_rows = base[:3]
+        if len(base_rows):
+            raise ValueError("heisenberg base must be built from scratch, without replaced rows")
         rows = np.array(changed, dtype=np.intp)
     factors = (ramp, phase, rows) + _ramp_and_phase(z[rows], g)
     for f in factors:
@@ -203,22 +207,32 @@ def apply_heisenberg(factors, psi: State, g: GridSpec) -> np.ndarray:
     (the band-limited circular shift psi(x) -> psi(x - q_j)) and one
     modulation product, each row as if built alone.
 
-    The result is the only (m, N) array allocated: the inverse FFT and the
-    modulation run in place in it.  The products keep their operand order,
-    spectrum * ramp and phase * shifted, because numpy's complex product
-    rounds differently with its operands swapped.
+    Two (m, N) arrays are allocated, the shifted spectra and their inverse
+    FFT, which replaces them; the modulation runs in place in it.  The
+    products keep their operand order, spectrum * ramp and phase * shifted,
+    because numpy's complex product rounds differently with its operands
+    swapped.
     """
     _check_grid(psi, g)
     ramp, phase, rows, ramp_rows, phase_rows = factors
     spectrum = np.fft.fft(psi.values)
     out = np.multiply(spectrum, ramp)
     out[rows] = np.multiply(spectrum, ramp_rows)
-    np.fft.ifft(out, axis=1, out=out)
+    out = np.fft.ifft(out, axis=1)
     rebuilt = out[rows]
     np.multiply(phase_rows, rebuilt, out=rebuilt)
     np.multiply(phase, out, out=out)
     out[rows] = rebuilt
     return out
+
+
+def gaussian_parameter(Gamma) -> complex:
+    """Gamma as a complex number, checked to give a Gaussian window:
+    Im(Gamma) > 0."""
+    Gamma = complex(Gamma)
+    if not (Gamma.imag > 0.0):
+        raise ValueError(f"gaussian window requires Im(Gamma) > 0, got {Gamma!r}")
+    return Gamma
 
 
 def gaussian_window(Gamma: complex, g: GridSpec) -> State:
@@ -227,9 +241,7 @@ def gaussian_window(Gamma: complex, g: GridSpec) -> State:
     Gamma = i gives the standard Gaussian exp{-x^2/(2 hbar)} up to
     normalization; larger Im(Gamma) narrows the window.
     """
-    Gamma = complex(Gamma)
-    if not (Gamma.imag > 0.0):
-        raise ValueError(f"gaussian window requires Im(Gamma) > 0, got {Gamma!r}")
+    Gamma = gaussian_parameter(Gamma)
     x = g.xs()
     v = np.exp(1j * Gamma * x**2 / (2.0 * g.hbar))
     nrm = math.sqrt(float(np.sum(np.abs(v) ** 2)) * g.dx)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from gaborflow.quantum import (
     GridSpec,
     State,
+    apply_heisenberg,
     gaussian_window,
     heisenberg,
+    heisenberg_factors,
     inner,
     load_state,
     norm,
@@ -115,6 +117,20 @@ class TestHeisenberg:
         phi = gaussian_window(1j, GRID)
         with pytest.raises(ValueError, match="finite"):
             heisenberg([np.inf, 0.0], phi, GRID)
+
+    def test_factors_from_a_base_match_factors_from_scratch(self):
+        phi = gaussian_window(0.4 + 1j, GRID)
+        z = np.random.default_rng(5).uniform(-2.0, 2.0, (6, 2))
+        moved = z.copy()
+        moved[[1, 4]] *= 1.3
+        base = heisenberg_factors(z, GRID)
+        spliced = heisenberg_factors(moved, GRID, base, [1, 4])
+        assert spliced[0] is base[0] and spliced[1] is base[1]
+        fresh = apply_heisenberg(heisenberg_factors(moved, GRID), phi, GRID)
+        assert np.array_equal(apply_heisenberg(spliced, phi, GRID), fresh)
+        # a spliced base's (m, N) arrays do not hold its replaced rows
+        with pytest.raises(ValueError, match="from scratch"):
+            heisenberg_factors(moved, GRID, spliced, [2])
 
 
 class TestGaussianWindow:
