@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, partial
 
@@ -34,6 +34,7 @@ from .quantum import (
     GridSpec,
     State,
     _fold,
+    _phase_points,
     apply_heisenberg,
     heisenberg_factors,
     norm,
@@ -63,16 +64,14 @@ REPORT_COLUMNS = ("t", "E", "eps", "moved", "A", "B", "A_prime", "B_prime", "rel
 class GaborSystem:
     """A unit-norm window, a finite 2-D phase-space point set, and a grid.
 
-    ``_base`` is empty, or ``(build, rows)`` where ``build()`` returns the
-    ``heisenberg_factors``, built from scratch, of a point set that agrees with ``points`` outside
-    the indices ``rows``.  The analysis then splices the system's factors
-    from those.
+    ``_rows`` is ``ellipsoid_sweep``'s private hook: when set, ``analysis_matrix(sys)`` takes
+    the rows T(z_j) window from ``sys._rows(sys)``, gathered from rows the sweep shares.
     """
 
     window: State
     points: PointSet
     grid: GridSpec
-    _base: tuple = field(default=(), repr=False)
+    _rows: Callable[["GaborSystem"], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.points.dim != 1:
@@ -82,7 +81,7 @@ class GaborSystem:
         w = norm(self.window, self.grid)
         if abs(w - 1.0) > WINDOW_NORM_TOL:
             raise ValueError(f"window must have unit norm within {WINDOW_NORM_TOL}, got {w!r}")
-        if len(self.points):
+        if len(self.points) and self._rows is None:  # the sweep's hooked twins repeat no warning
             qmax = float(np.max(np.abs(self.points.points[:, 0])))
             if qmax > self.grid.L / 2.0:
                 warnings.warn(
@@ -127,12 +126,10 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
     """
     if len(sys.points) == 0:
         raise ValueError("analysis matrix of an empty point set")
-    base = sys._base
-    if base:
-        build, rows = base
-        base = (build(), rows)
-    factors = heisenberg_factors(sys.points.points, sys.grid, *base)
-    D = apply_heisenberg(factors, sys.window, sys.grid)
+    if sys._rows is None:
+        D = apply_heisenberg(heisenberg_factors(sys.points.points, sys.grid), sys.window, sys.grid)
+    else:
+        D = sys._rows(sys)
     np.conj(D, out=D)
     return np.multiply(D, np.sqrt(sys.grid.dx), out=D)
 
@@ -325,47 +322,72 @@ def ellipsoid_sweep(
     boundary_tol: float = BOUNDARY_TOL_DEFAULT,
 ) -> Iterator[tuple[GaborSystem, DeformationReport]]:
     """Deform the window by the lift and only the enclosed points by the flow,
-    for every ellipsoid in ``ells`` and every time in ``ts``.
+    for every ellipsoid in ``ells``, all of one M (``ValueError`` otherwise),
+    and every time in ``ts``.
 
     Yields ``(deformed system, report)`` for each (E, t), ellipsoid-major.
-    The window becomes U_t window (base point 0); the points enclosed by the
-    ellipsoid move along the exact flow while the rest stay fixed.  The safe
-    thickening radius of the surface is recorded in the report to certify
-    that a cutoff flow realizing this piecewise motion exists for the set.
-    Frame bounds of both systems and their relative drifts make up the
-    report.
+    The window becomes U_t window (lifted about the origin); the points
+    enclosed by the ellipsoid move along the exact flow while the rest stay
+    fixed.  The safe thickening radius of the surface is recorded in the
+    report to certify that a cutoff flow realizing this piecewise motion
+    exists for the set.  Frame bounds of both systems and their relative
+    drifts make up the report.
 
-    The sweep runs in three passes.  First it lifts the window once per
-    distinct (M, t), so that no (m, N) array is held while a cold
-    eigendecomposition runs.  Then it solves the undeformed system, whose
-    analysis builds the points' ``heisenberg_factors``; the sweep keeps them.
-    Last, per ellipsoid it finds eps* and the enclosed set, and per (E, t)
-    the deformed system's analysis rebuilds the factors of the enclosed rows
-    only.  At t = 0 the deformed system is the undeformed one (S_0 = I and
-    U_0 is the identity exactly), so its report reuses the undeformed bounds.
+    The lifts run first, so that no (m, N) array is held while a cold
+    eigendecomposition runs.  The undeformed analysis builds the points'
+    ``heisenberg_factors``, which the sweep keeps.  Then it solves t-major,
+    yielding each report once those before it are solved.  At each t != 0
+    the first deformed analysis builds a row bank, freed at the next t: the
+    kept factors' rows and one row per distinct moved point over all
+    energies, from which each energy's rows are gathered into one reused
+    workspace.  At t = 0 the deformed system is the undeformed one (S_0 = I,
+    U_0 = 1 exactly), so its report reuses the undeformed bounds.
     """
     ells, ts, g = list(ells), list(ts), sys.grid
-    windows = {}
-    for ell in ells:
-        for t in ts:
-            key = (ell.H.M.tobytes(), t)
-            if key not in windows:
-                windows[key] = metaplectic_lift(ell.H.M, t, g).apply(sys.window)
+    if not ells:
+        return
+    if not all(np.array_equal(ell.H.M, ells[0].H.M) for ell in ells):
+        raise ValueError("the ellipsoids of a sweep must share one M")
+    windows = {t: metaplectic_lift(ells[0].H.M, t, g).apply(sys.window) for t in dict.fromkeys(ts)}
     # built once, within the first analysis, so that its time counts there
     fixed = cache(partial(heisenberg_factors, sys.points.points, g))
-    bounds0 = frame_bounds(GaborSystem(sys.window, sys.points, g, (fixed, ())))
-    for ell in ells:
-        eps = max_safe_epsilon(sys.points, ell, boundary_tol)
-        inside = enclosed_indices(sys.points, ell, boundary_tol)
-        for t in ts:
-            window = windows[ell.H.M.tobytes(), t]
-            points = deform_point_set(sys.points, inside, ell, t)
-            if t == 0.0:
-                new_sys, bounds1 = GaborSystem(window, points, g), bounds0
-            else:
-                new_sys = GaborSystem(window, points, g, (fixed, inside))
-                bounds1 = frame_bounds(new_sys)
-            yield new_sys, _make_report(bounds0, bounds1, len(inside), eps, t, ell.E)
+    bounds0 = frame_bounds(GaborSystem(sys.window, sys.points, g,
+                                       lambda s: apply_heisenberg(fixed(), s.window, g)))
+    eps = [max_safe_epsilon(sys.points, ell, boundary_tol) for ell in ells]
+    insides = [enclosed_indices(sys.points, ell, boundary_tol) for ell in ells]
+    ends = np.cumsum([len(inside) for inside in insides])[:-1]
+    workspace = np.empty((len(sys.points), g.N), dtype=complex)
+    done, k = {}, 0
+    for i, t in enumerate(ts):
+        deformed = [deform_point_set(sys.points, ins, ell, t) for ell, ins in zip(ells, insides)]
+        # one row per moved point to the bit: energies' coordinates can differ in the last bit
+        moved = np.concatenate([P.points[inside] for P, inside in zip(deformed, insides)])
+        _, first, where = np.unique(moved.view("V16"), return_index=True, return_inverse=True)
+        bank = cache(partial(_row_bank, fixed, windows[t], moved[first], g))
+        for e, (P, inside, at) in enumerate(zip(deformed, insides, np.split(where.ravel(), ends))):
+            bounds1 = bounds0 if t == 0.0 else frame_bounds(GaborSystem(
+                windows[t], P, g, partial(_gathered_rows, bank, inside, at, workspace)))
+            report = _make_report(bounds0, bounds1, len(inside), eps[e], t, ells[e].E)
+            done[e * len(ts) + i] = GaborSystem(windows[t], P, g), report
+        while k in done:
+            yield done.pop(k)
+            k += 1
+
+
+def _row_bank(fixed, psi: State, moved: np.ndarray, g: GridSpec) -> tuple:
+    """Rows T(z_j) psi of the points ``moved``, then of the ``fixed`` factors,
+    whose (m, N) rows are built once the moved rows' factors are freed."""
+    return apply_heisenberg(heisenberg_factors(moved, g), psi, g), apply_heisenberg(fixed(), psi, g)
+
+
+def _gathered_rows(bank, inside, at, out: np.ndarray, sys: GaborSystem) -> np.ndarray:
+    """``sys``'s rows T(z_j) window in ``out``, ``bank()``'s fixed rows with its moved rows ``at``
+    in place of the enclosed ``inside``, after ``heisenberg_factors``' checks of the points."""
+    _phase_points(sys.points.points, sys.grid)
+    moved_rows, fixed_rows = bank()
+    np.copyto(out, fixed_rows)
+    out[inside] = moved_rows[at]
+    return out
 
 
 def ellipsoid_deform(

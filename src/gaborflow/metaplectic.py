@@ -25,7 +25,8 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quantum import _SQRT_HALF, GridSpec, State, _fold, gaussian_window, heisenberg
+from .quantum import (_SQRT_HALF, GridSpec, State, _fold, gaussian_parameter, gaussian_window,
+                      heisenberg)
 from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
@@ -253,9 +254,9 @@ def _probe_block(g: GridSpec) -> np.ndarray:
     """The fixed seeded probes, concentrated states near the origin, as the
     columns of an (N, 8) block."""
     rng = np.random.default_rng(_PROBE_SEED)
-    base = gaussian_window(1j, g)
+    gauss = gaussian_window(1j, g)
     ws = rng.uniform(-_PROBE_SPREAD, _PROBE_SPREAD, size=(_PROBE_COUNT, 2))
-    return np.column_stack([heisenberg(w, base, g).values for w in ws])
+    return np.column_stack([heisenberg(w, gauss, g).values for w in ws])
 
 
 def _translate_columns(z, psis: np.ndarray, g: GridSpec) -> np.ndarray:
@@ -297,9 +298,7 @@ def gaussian_mobius(Gamma: complex, S: SymplecticMatrix) -> complex:
     closed-form counterpart of applying the lift to a Gaussian window and is
     used as an independent oracle for it.
     """
-    Gamma = complex(Gamma)
-    if not (Gamma.imag > 0.0):
-        raise ValueError(f"requires Im(Gamma) > 0, got {Gamma!r}")
+    Gamma = gaussian_parameter(Gamma)
     Smat = S.S
     if Smat.shape != (2, 2):
         raise ValueError(f"S must be 2x2, got shape {Smat.shape}")

@@ -145,28 +145,27 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
     half-phase are applied pointwise.  A wrap-around warning is emitted for
     |q| >= L/2.
     """
-    zc = np.asarray(z, dtype=float)
-    if zc.size != 2:
-        raise ValueError(f"heisenberg requires a 2-D phase point (n=1), got {zc.size} coords")
-    return State(apply_heisenberg(heisenberg_factors(zc.reshape(1, 2), g), psi, g)[0])
+    return State(apply_heisenberg(heisenberg_factors(np.reshape(z, (1, -1)), g), psi, g)[0])
 
 
-def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
+def heisenberg_factors(points, g: GridSpec) -> tuple:
     """Shift ramps and modulations of T(z_j) for every row z_j = (q_j, p_j) of
-    an (m, 2) array, as ``(ramp, phase, rows, ramp_rows, phase_rows)``: two
-    (m, N) complex arrays whose ``rows`` are replaced by ``ramp_rows`` and
-    ``phase_rows``.  All are read-only.
+    an (m, 2) array, as two read-only (m, N) complex arrays ``(ramp, phase)``.
 
     They depend on the points and the grid, not on the window, so a sweep of
     windows over one point set builds them once (``apply_heisenberg`` does
-    the rest).  Built from scratch, no row is replaced.  With ``base``, the
-    factors built from scratch (no replaced row) of a point set that agrees
-    with ``points`` outside the row indices ``changed``, only those rows are
-    rebuilt: base's (m, N) arrays are shared, not copied.  A base with
-    replaced rows is rejected, since its (m, N) arrays do not hold them.
-    Every row is bitwise the row built from scratch.  All rows are checked either way, and one wrap-around warning
-    is emitted when some |q_j| >= L/2.
+    the rest).  Each row is built alone, bitwise as in any point set holding
+    z_j.  One wrap-around warning is emitted when some |q_j| >= L/2.
     """
+    factors = _ramp_and_phase(_phase_points(points, g), g)
+    for f in factors:
+        f.setflags(write=False)
+    return factors
+
+
+def _phase_points(points, g: GridSpec) -> np.ndarray:
+    """points as an (m, 2) float array of finite phase points, with one
+    wrap-around warning when some |q_j| >= L/2."""
     z = np.asarray(points, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise ValueError(f"heisenberg requires 2-D phase points (n=1), got shape {z.shape}")
@@ -176,20 +175,9 @@ def heisenberg_factors(points, g: GridSpec, base=None, changed=()) -> tuple:
     if qmax > (g.L / 2.0) * (1.0 + 1e-12):
         warnings.warn(
             f"translation |q|={qmax:g} > L/2={g.L / 2.0:g}: wrap-around regime",
-            stacklevel=3,
+            stacklevel=4,
         )
-    if base is None:
-        ramp, phase = _ramp_and_phase(z, g)
-        rows = np.empty(0, dtype=np.intp)
-    else:
-        ramp, phase, base_rows = base[:3]
-        if len(base_rows):
-            raise ValueError("heisenberg base must be built from scratch, without replaced rows")
-        rows = np.array(changed, dtype=np.intp)
-    factors = (ramp, phase, rows) + _ramp_and_phase(z[rows], g)
-    for f in factors:
-        f.setflags(write=False)
-    return factors
+    return z
 
 
 def _ramp_and_phase(z: np.ndarray, g: GridSpec) -> tuple:
@@ -202,28 +190,18 @@ def _ramp_and_phase(z: np.ndarray, g: GridSpec) -> tuple:
 
 
 def apply_heisenberg(factors, psi: State, g: GridSpec) -> np.ndarray:
-    """Samples of T(z_j) psi from the ``heisenberg_factors`` of the z_j: one
-    FFT of psi, one (m, N) shift-ramp product, one inverse FFT along the rows
-    (the band-limited circular shift psi(x) -> psi(x - q_j)) and one
-    modulation product, each row as if built alone.
-
-    Two (m, N) arrays are allocated, the shifted spectra and their inverse
-    FFT, which replaces them; the modulation runs in place in it.  The
-    products keep their operand order, spectrum * ramp and phase * shifted,
-    because numpy's complex product rounds differently with its operands
-    swapped.
+    """Samples of T(z_j) psi, one row per z_j, from their ``heisenberg_factors``:
+    the spectrum of psi times the shift ramps, an inverse FFT along the rows
+    (the band-limited circular shift psi(x) -> psi(x - q_j)) and the
+    modulations, in place, each row as if built alone.  Two (m, N) arrays
+    are allocated.  The products keep their operand order, spectrum * ramp
+    and phase * shifted, because numpy's complex product rounds differently
+    with its operands swapped.
     """
     _check_grid(psi, g)
-    ramp, phase, rows, ramp_rows, phase_rows = factors
-    spectrum = np.fft.fft(psi.values)
-    out = np.multiply(spectrum, ramp)
-    out[rows] = np.multiply(spectrum, ramp_rows)
-    out = np.fft.ifft(out, axis=1)
-    rebuilt = out[rows]
-    np.multiply(phase_rows, rebuilt, out=rebuilt)
-    np.multiply(phase, out, out=out)
-    out[rows] = rebuilt
-    return out
+    ramp, phase = factors
+    out = np.fft.ifft(np.multiply(np.fft.fft(psi.values), ramp), axis=1)
+    return np.multiply(phase, out, out=out)
 
 
 def gaussian_parameter(Gamma) -> complex:

@@ -28,7 +28,7 @@ from gaborflow.lattice import (
     max_safe_epsilon,
     separable_lattice,
 )
-from gaborflow import metaplectic
+from gaborflow import metaplectic, quantum
 from gaborflow.metaplectic import metaplectic_lift
 from gaborflow.quantum import GridSpec, State, gaussian_window, heisenberg, inner, norm
 from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix
@@ -376,6 +376,64 @@ class TestEllipsoidSweep:
             len(enclosed_indices(sysR.points, ell)) for ell in ells]
         assert 0 < swept[0][1].moved_count < swept[3][1].moved_count < len(sysR.points)
 
+    @BOTH_SIDES
+    def test_one_point_set_beside_a_larger_one(self, box):
+        # a one-row product X[idx] @ S.T can differ in the last bit from the
+        # same row of a larger one, so each energy's moved rows must come
+        # from its own coordinates
+        sys0 = reference_system(box=box)
+        shifted = PointSet(sys0.points.points + 0.25 * ALPHA, sys0.points.delta)
+        sys0 = GaborSystem(sys0.window, shifted, sys0.grid)
+        ells = [Ellipsoid(ANISOTROPIC, E) for E in (0.11, 2.0)]
+        swept = assert_sweep_matches_per_call(sys0, ells, [0.0, 0.05, 0.4])
+        assert [rep.moved_count for _, rep in swept[::3]] == [1, 18]
+
+    def test_each_factor_row_is_built_once_per_t(self, monkeypatch):
+        built = []
+        ramp_and_phase = quantum._ramp_and_phase
+
+        def recording(z, g):
+            built.append(len(z))
+            return ramp_and_phase(z, g)
+
+        monkeypatch.setattr(quantum, "_ramp_and_phase", recording)
+        sysR = reference_system()
+        ells = [Ellipsoid(ANISOTROPIC, E) for E in (0.3, 2.0, 0.7)]
+        insides = [enclosed_indices(sysR.points, ell) for ell in ells]
+        assert min(len(inside) for inside in insides) >= 2
+        for _ in ellipsoid_sweep(sysR, ells, [0.0, 0.4, 1.1]):
+            pass
+        # the fixed rows once, then at each t != 0 one row per point of the
+        # union of the enclosed sets
+        union = len(np.unique(np.concatenate(insides)))
+        assert built == [len(sysR.points), union, union]
+
+    def test_ellipsoids_of_different_M_raise(self):
+        ells = [Ellipsoid(ANISOTROPIC, 1.0), Ellipsoid(QuadraticHamiltonian(np.eye(2)), 1.0)]
+        with pytest.raises(ValueError, match="one M"):
+            next(ellipsoid_sweep(reference_system(), ells, [0.4]))
+
+    def test_quarter_turn_of_the_torus_keeps_the_bounds(self):
+        # alpha = beta = 1/2 on [-8, 7.5]^2 covers the torus of N = 256,
+        # L = 16 (N / L = 16), with a live A since m = 1024 > N.  With M = I
+        # and t = pi/2 the flow is a quarter turn, which maps the lattice and
+        # every enclosed disc onto themselves modulo the torus, and U_t is a
+        # Fourier transform, so the deformed system is unitarily equivalent:
+        # an exact identity for the window alone (E = 0.01 moves only the
+        # origin), part of the points and all of them
+        g = GridSpec.centered(N=256, L=16.0)
+        P = separable_lattice(0.5, 0.5, Box.from_pairs([[-8, 7.5], [-8, 7.5]]))
+        sysQ = GaborSystem(gaussian_window(0.6 + 1.5j, g), P, g)
+        ells = [Ellipsoid(QuadraticHamiltonian(np.eye(2)), E) for E in (0.01, 2.0, 1000.0)]
+        reports = [rep for _, rep in ellipsoid_sweep(sysQ, ells, [math.pi / 2])]
+        assert [rep.moved_count for rep in reports] == [1, 49, 1024]
+        for rep in reports:
+            before, after = rep.bounds_before, rep.bounds_after
+            assert before.A == pytest.approx(3.878496245818993, rel=1e-12)
+            assert before.B == pytest.approx(4.121790769877995, rel=1e-12)
+            assert after.A == pytest.approx(before.A, rel=1e-12)
+            assert after.B == pytest.approx(before.B, rel=1e-12)
+
     def test_wrap_around_warns_for_every_deformed_system(self):
         # |q| reaches 2.83 > L/2 = 2 on the fixed points; the enclosed ones
         # stay inside the box, so only a check of the whole set warns
@@ -588,3 +646,50 @@ class TestParitySplit:
         # the undeformed bounds, then one solve per row with t != 0
         solves = 1 + sum(rep.t != 0.0 for rep in reports)
         assert solved == sizes * solves
+
+
+def seam_free_odd_window(g):
+    """x e^{-pi x^2} at unit norm, with its seam sample (x = -L/2) set to 0 so
+    that it is exactly odd on the grid."""
+    v = g.xs() * gaussian_window(1j, g).values
+    v[0] = 0.0
+    return State(v / math.sqrt(float(np.sum(np.abs(v) ** 2)) * g.dx))
+
+
+def torus_lattice(g, alpha, beta):
+    """alpha Z x beta Z on [-L/2, L/2 - alpha] x [-P/2, P/2 - beta], P = N/L:
+    the grid's torus, covered once."""
+    P = g.N / g.L
+    box = Box.from_pairs([[-g.L / 2, g.L / 2 - alpha], [-P / 2, P / 2 - beta]])
+    return separable_lattice(alpha, beta, box)
+
+
+TORUS_GRIDS = pytest.mark.parametrize("N, L", [(128, 8.0), (256, 16.0)])
+
+
+class TestNegativeControl:
+    """An odd window gives no frame on alpha Z x beta Z at alpha beta = 1/2
+    (Lyubarskii & Nes, Appl. Comput. Harmon. Anal. 34, 2013); the Gaussian
+    does, and so does the odd window at alpha beta = 1/4."""
+
+    @TORUS_GRIDS
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.5, 1.0)])
+    def test_odd_window_is_no_frame_at_half_density(self, N, L, alpha, beta):
+        g = GridSpec.centered(N=N, L=L)
+        P = torus_lattice(g, alpha, beta)
+        sysO = GaborSystem(seam_free_odd_window(g), P, g)
+        bounds = frame_bounds(sysO)
+        assert bounds.A == 0.0 and not bounds.is_frame
+        # a kernel of dimension two, not a small lower bound
+        assert np.max(np.abs(np.linalg.eigvalsh(frame_operator(sysO))[:2])) <= 1e-13
+        gauss = frame_bounds(GaborSystem(gaussian_window(1j, g), P, g))
+        assert gauss.A == pytest.approx(1.1715565326, rel=1e-10)
+        assert gauss.B == pytest.approx(2.8495942824, rel=1e-10)
+
+    @TORUS_GRIDS
+    def test_odd_window_is_a_frame_at_quarter_density(self, N, L):
+        g = GridSpec.centered(N=N, L=L)
+        P = torus_lattice(g, 0.5, 0.5)
+        bounds = frame_bounds(GaborSystem(seam_free_odd_window(g), P, g))
+        assert bounds.is_frame
+        assert bounds.A == pytest.approx(3.6530608885, rel=1e-10)
