@@ -442,9 +442,43 @@ def max_safe_epsilon(
     points already on the surface.  If P is empty or every point lies on the
     surface, returns the configured cap ``eps_max`` (a finite cap keeps cutoff
     supports bounded).
+
+    The minimum equals that of ``off_surface_distances`` bitwise, but only
+    the points that can attain it are projected.  Each off-surface point z,
+    at radius r, gets certified bounds on its distance from its H(z) alone
+    (R_in, R_out the smallest and largest semi-axes, mu_max the largest
+    eigenvalue of M):
+
+    - above: the radial point z sqrt(E / H(z)) lies on the surface; the
+      center is at distance R_in
+    - below, outside: max(r - R_out, (H - E) / (mu_max max(r, R_out))), as
+      the surface lies within R_out and |grad H| <= mu_max |y| along the
+      segment to the nearest point
+    - below, inside: max(R_in - r, (E - H) / (mu_max R_out)), the segment
+      lying in the convex region
+
+    A point whose lower bound exceeds the smallest upper bound, with a slack
+    of 1e-9 times 1 + max(r, R_out) for the rounding of the bounds and of
+    the projection, cannot attain the minimum.  The slack exceeds the lower
+    bounds of the points within ``ON_SURFACE_REL_TOL`` in H (at most about
+    5e-11 R_out), which the projection puts at distance 0, so those are
+    always projected.
     """
-    _, dists = off_surface_distances(P, ell, boundary_tol)
-    return float(np.min(dists)) if dists.size else eps_max
+    vals, on = _surface_band(P, ell, boundary_tol)
+    off = np.nonzero(~on)[0]
+    if off.size == 0:
+        return eps_max
+    z, Hz, E = P.points[off], vals[off], ell.E
+    r = np.sqrt(np.einsum("ij,ij->i", z, z))
+    r_in, r_out, mu = ell.inner_radius, ell.outer_radius, ell.H.max_eigenvalue
+    with np.errstate(all="ignore"):  # the center, and H underflowing near it
+        upper = np.where(r > 0.0, r * np.abs(1.0 - np.sqrt(E / Hz)), r_in)
+    lower = np.where(Hz > E,
+                     np.maximum(r - r_out, (Hz - E) / (mu * np.maximum(r, r_out))),
+                     np.maximum(r_in - r, (E - Hz) / (mu * r_out)))
+    cut = np.min(upper) + 1e-9 * (1.0 + max(float(np.max(r)), r_out))
+    # rows as lists of floats take the projection's fast path
+    return min(distance_to_ellipsoid(zi, ell)[0] for zi in z[lower <= cut].tolist())
 
 
 def deform_point_set(

@@ -7,12 +7,19 @@ calculus through Hermitian eigendecompositions makes U_t automatically
 unitary and continuous in t through the identity, which selects one of the
 two possible lifts canonically and sidesteps kernel-formula caustics.
 
+A coupled M (m12 != 0, m22 != 0) is the uncoupled M' = diag(m11 - c m12,
+m22) pulled back by the shear S_c = [[1, 0], [c, 1]], c = m12 / m22, and
+the shear lifts to multiplication by the chirp C = exp(i c x^2 / (2 hbar)).
+Since the metaplectic representation is a homomorphism, the lift of M is
+taken as C^* U_t(M') C (G. B. Folland, Harmonic Analysis in Phase Space,
+1989, ch. 4), so every generator held is real.
+
 Every metaplectic operator commutes with the parity psi(x) -> psi(-x),
 because parity lifts -I, which is central in Sp(2, R).  On the grid the
-parity is j -> -j mod N, and H_op is built to commute with it exactly, so
-its eigendecomposition splits into an even and an odd block of half the
-size.  The closed-form Moebius action on Gaussian parameters serves as an
-independent oracle for the lift.
+parity is j -> -j mod N, and H_op and the chirp are built to commute with
+it exactly, so the eigendecomposition splits into an even and an odd block
+of half the size.  The closed-form Moebius action on Gaussian parameters
+serves as an independent oracle for the lift.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .quantum import (_SQRT_HALF, GridSpec, State, _fold, gaussian_parameter, gaussian_window,
-                      heisenberg)
+                      heisenberg, heisenberg_factors)
 from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
@@ -173,10 +180,10 @@ def _factorize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Eigendecompositions are expensive (dense blocks); cache per (M, grid) under a
 # single-writer lock so concurrent readers never observe a partial entry.  The
 # cache is an LRU within a byte budget, so that sweeps over many M cannot grow
-# it without limit.  An entry holds the two blocks' factors, about 8 N^2 bytes
-# complex (m12 != 0) or 4 N^2 bytes real; the budget of about 256 MiB, sized
-# for four unsplit complex N = 2048 factors, holds seven complex or fifteen
-# real N = 2048 entries.
+# it without limit.  An entry holds the two blocks' real factors, about 4 N^2
+# bytes, for every positive-definite M (a coupled one is held under its
+# uncoupled M'); the budget of about 256 MiB, sized for four unsplit complex
+# N = 2048 factors, holds fifteen N = 2048 entries.
 EIG_CACHE_BYTES = 4 * (16 * 2048**2 + 8 * 2048)
 _eig_cache: OrderedDict = OrderedDict()
 _eig_lock = threading.Lock()
@@ -206,16 +213,20 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
 
 class Propagator:
     """Unitary U_t = exp(-i t H_op / hbar) held as the eigenfactors of the
-    even and odd parity blocks of H_op.
+    even and odd parity blocks of H_op, and for a coupled M the chirp C
+    that makes it C^* U_t(M') C.
 
-    An apply folds psi into its even and odd parts, applies each block's
-    V diag(exp(-i t w / hbar)) V^H, two half-size products per direction,
-    and unfolds; it copies no matrix.  t = 0 is the exact identity, which
-    keeps zero-time deformation experiments bitwise trivial.
+    An apply multiplies psi by C, folds it into its even and odd parts,
+    applies each block's V diag(exp(-i t w / hbar)) V^H, two half-size
+    products per direction, unfolds and multiplies by conj(C); it copies no
+    matrix.  The chirp is parity-even, so the split still holds.  t = 0 is
+    the exact identity, which keeps zero-time deformation experiments
+    bitwise trivial.
     """
 
-    def __init__(self, blocks, t: float, grid: GridSpec):
+    def __init__(self, blocks, t: float, grid: GridSpec, chirp: np.ndarray | None = None):
         self._blocks = blocks
+        self._chirp = chirp
         self.t = float(t)
         self.grid = grid
 
@@ -228,13 +239,19 @@ class Propagator:
         psis = np.asarray(psis, dtype=complex)
         if self.t == 0.0:
             return psis.copy()
+        chirp = self._chirp
+        if chirp is not None:
+            psis = chirp[:, None] * psis
         (we, Ve), (wo, Vo) = self._blocks
         even, odd = _fold(psis)
         hbar = self.grid.hbar
-        return _unfold(_evolve(we, Ve, even, self.t, hbar), _evolve(wo, Vo, odd, self.t, hbar))
+        out = _unfold(_evolve(we, Ve, even, self.t, hbar), _evolve(wo, Vo, odd, self.t, hbar))
+        if chirp is not None:
+            out *= chirp.conj()[:, None]
+        return out
 
     def inverse(self) -> "Propagator":
-        return Propagator(self._blocks, -self.t, self.grid)
+        return Propagator(self._blocks, -self.t, self.grid, self._chirp)
 
 
 def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
@@ -242,12 +259,21 @@ def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
 
     The parity blocks' eigendecompositions of the quantized generator are
     computed once per (M, grid) and reused across t, so sweeps over time are
-    cheap.
+    cheap.  A coupled M with m22 != 0 lifts as C^* U_t(M') C (module
+    docstring) and shares the real factors of M'; an M with
+    m12 != 0 = m22, which is indefinite, factorizes its complex generator.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2) or not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
         raise ValueError("M must be a symmetric 2x2 matrix")
-    return Propagator(_eig_factors(M, g), t, g)
+    m12, m22 = M[0, 1], M[1, 1]
+    if m12 == 0.0 or m22 == 0.0:
+        return Propagator(_eig_factors(M, g), t, g)
+    c = m12 / m22
+    blocks = _eig_factors(np.array([[M[0, 0] - c * m12, 0.0], [0.0, m22]]), g)
+    # x as quantize_quadratic builds it, so that the chirp is exactly parity-even
+    x = g.dx * (np.arange(g.N) - g.N // 2)
+    return Propagator(blocks, t, g, np.exp(1j * c * (x * x) / (2.0 * g.hbar)))
 
 
 def _probe_block(g: GridSpec) -> np.ndarray:
@@ -260,7 +286,14 @@ def _probe_block(g: GridSpec) -> np.ndarray:
 
 
 def _translate_columns(z, psis: np.ndarray, g: GridSpec) -> np.ndarray:
-    return np.column_stack([heisenberg(z, State(v), g).values for v in psis.T])
+    """T(z) applied to every column of an (N, k) block, each bitwise as
+    ``heisenberg`` applies it: T(z)'s factors are built once and the
+    columns, as rows, are shifted by one batched FFT.  The result is
+    C-contiguous, as ``_dot``'s float view needs."""
+    ramp, phase = heisenberg_factors(np.reshape(z, (1, -1)), g)
+    rows = np.fft.fft(psis.T, axis=1)
+    rows = np.fft.ifft(np.multiply(rows, ramp, out=rows), axis=1)
+    return np.ascontiguousarray(np.multiply(phase, rows, out=rows).T)
 
 
 def covariance_defect(M, t: float, z, g: GridSpec) -> float:

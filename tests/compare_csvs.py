@@ -7,11 +7,15 @@ built-in default, the tests' ``SMALL_CONFIG`` (read from
 ``tests/test_config_cli.py``) and every ``scenarios/*.json``.  Those flows
 start on the plateau, so ``flow`` also runs from two starts in the cutoff's
 transition shell, where every RK4 stage projects onto the ellipsoid: one on
-a coupled 2 x 2 M and one on a 4 x 4 M (n = 2).  It runs them
-once on this checkout's ``src``, uncommitted edits included, and once on
-PARENT_REV's, unpacked with ``git archive`` into a temporary directory.  For
-each CSV it prints "byte-identical" or, per column, the largest absolute and
-relative deviation; a differing exit code or a missing file is printed too.
+a coupled 2 x 2 M and one on a 4 x 4 M (n = 2).  Every config above that
+lifts a window or runs ``covariance`` has m12 = 0, so ``covariance`` and
+``deform`` also run on a coupled M, whose lift goes through the shear's
+chirp.  It runs
+them once on this checkout's ``src``, uncommitted edits included, and once
+on PARENT_REV's, unpacked with ``git archive`` into a temporary directory.
+For each CSV it prints "byte-identical" or, per column, the largest
+absolute and relative deviation; a differing exit code or a missing file is
+printed too.
 
 The bytes depend on the BLAS build, so this is a tool for comparing two
 revisions on one machine, not a test; pytest does not collect it.
@@ -34,21 +38,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("bounds", "deform", "flow", "epsilon", "count", "covariance")
-# flow-only configs whose start lies at distance 0.27 from the surface,
-# inside the transition shell (eps/2, eps) = (0.15, 0.3)
-SHELL_FLOWS = {
-    "shell_flow": {
+# configs beyond the default and the scenarios: name -> (config, commands)
+EXTRA_CONFIGS = {
+    # flow starts at distance 0.27 from the surface, inside the transition
+    # shell (eps/2, eps) = (0.15, 0.3)
+    "shell_flow": ({
         "ellipsoid": {"M": [[2.0, 0.3], [0.3, 0.7]], "E": 0.5},
         "flow": {"z0": [0.2, 1.4], "eps": 0.3},
-    },
-    "shell_flow_n2": {
+    }, ("flow",)),
+    "shell_flow_n2": ({
         "ellipsoid": {
             "M": [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.2, 0.0],
                   [0.0, 0.2, 1.5, 0.4], [0.1, 0.0, 0.4, 0.8]],
             "E": 0.9,
         },
         "flow": {"z0": [1.1, 0.2, -0.4, 0.5], "t": 1.0, "eps": 0.3},
-    },
+    }, ("flow",)),
+    # a coupled lift, with cases inside N = 512's reliable box |q| <= 4, |p| <= 8
+    "coupled_lift": ({
+        "grid": {"N": 512, "L": 16.0},
+        "ellipsoid": {"M": [[1.0, 0.3], [0.3, 2.0]]},
+        "covariance": {"grids": [512, 1024],
+                       "cases": [[0.3, 0.5, -0.4], [0.8, -1.0, 0.7], [1.4, 1.2, 1.1]]},
+    }, ("covariance", "deform")),
 }
 
 
@@ -70,10 +82,10 @@ def _configs(workdir: Path) -> dict:
     configs = {"default": (None, COMMANDS), "small_config": (small, COMMANDS)}
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         configs[path.stem] = (path, COMMANDS)
-    for name, cfg in SHELL_FLOWS.items():
+    for name, (cfg, commands) in EXTRA_CONFIGS.items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(cfg))
-        configs[name] = (path, ("flow",))
+        configs[name] = (path, commands)
     return configs
 
 

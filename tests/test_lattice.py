@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaborflow.lattice import (
     _NEGLIGIBLE,
@@ -528,6 +530,42 @@ class TestMaxSafeEpsilon:
     def test_all_points_on_surface_returns_cap(self, unit_circle):
         P = PointSet(np.array([[1.0, 0.0]]), delta=0.5)
         assert max_safe_epsilon(P, unit_circle) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        theta=st.floats(0.0, math.pi),
+        E=st.floats(0.05, 20.0),
+        coords=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                        min_size=1, max_size=30),
+        radial=st.lists(st.floats(0.0, 2.0), max_size=4),
+        boundary_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    )
+    # the round circle: every axis point ties with its quarter turns
+    @example(mu=(1.0, 1.0), theta=0.0, E=0.5, coords=[(1.0, 1.0), (2.0, 0.0)],
+             radial=[0.5, 1.0, 2.0], boundary_tol=0.0)
+    def test_equals_exhaustive_minimum_bitwise(self, mu, theta, E, coords, radial,
+                                               boundary_tol):
+        R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        M = R @ np.diag(mu) @ R.T
+        M[1, 0] = M[0, 1]
+        ell = Ellipsoid(QuadraticHamiltonian(M), E)
+        w, Q = np.linalg.eigh(M)
+        rows = [np.array(z) for z in coords]
+        # the radial points of the surface, which the bounds use
+        rows += [z * math.sqrt(E / ell.H.value(z)) for z in rows[:5] if ell.H.value(z) > 0.0]
+        rows.append(np.zeros(2))  # the center
+        # points on both axes, inside, on and outside the surface
+        rows += [s * math.sqrt(2.0 * E / w[k]) * Q[:, k] for s in radial for k in (0, 1)]
+        # a point set keeps points at least 1e-6 apart
+        pts = []
+        for z in rows:
+            if all(np.linalg.norm(z - y) >= 1e-6 for y in pts):
+                pts.append(z)
+        P = PointSet(np.array(pts), delta=1e-6)
+        _, d = off_surface_distances(P, ell, boundary_tol)
+        expect = float(np.min(d)) if d.size else 1.0
+        assert max_safe_epsilon(P, ell, boundary_tol) == expect
 
     def test_thickening_property(self, z2_lattice, unit_circle):
         eps_star = max_safe_epsilon(z2_lattice, unit_circle)

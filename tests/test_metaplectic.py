@@ -11,7 +11,7 @@ from gaborflow.metaplectic import (
     metaplectic_lift,
     quantize_quadratic,
 )
-from gaborflow.quantum import GridSpec, State, gaussian_window, inner
+from gaborflow.quantum import GridSpec, State, gaussian_window, heisenberg, inner
 from gaborflow.symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 SMALL = GridSpec.centered(N=128, L=16.0)
@@ -29,6 +29,23 @@ QUANTIZED_MATRICES = pytest.mark.parametrize(
     [np.eye(2), np.diag([16.0, 1.0]), np.diag([0.0, 1.0]), np.array([[1.0, 0.7], [0.7, 2.0]])],
     ids=["round", "squeezed", "free", "coupled"],
 )
+
+
+COUPLED_MATRICES = pytest.mark.parametrize(
+    "M",
+    [np.array([[1.0, m12], [m12, m22]]) for m12, m22 in ((0.5, 2.0), (0.7, 2.0), (0.3, 2.0),
+                                                          (0.25, 1.5))],
+    ids=["m12=0.5", "m12=0.7", "m12=0.3", "m12=0.25"],
+)
+
+
+def uncoupled_and_chirp(M, g):
+    """M' = diag(m11 - c m12, m22) and the chirp exp(i c x^2 / (2 hbar)),
+    c = m12 / m22, of the factorization M = S_c^T M' S_c."""
+    c = M[0, 1] / M[1, 1]
+    x = g.dx * (np.arange(g.N) - g.N // 2)
+    Mp = np.array([[M[0, 0] - c * M[0, 1], 0.0], [0.0, M[1, 1]]])
+    return Mp, np.exp(1j * c * (x * x) / (2.0 * g.hbar))
 
 
 def phase_aligned_distance(a, b, g):
@@ -208,25 +225,26 @@ class TestMetaplecticLift:
         rng = np.random.default_rng(11)
         psi = rng.normal(size=N) + 1j * rng.normal(size=N)
         r = math.sqrt(0.5)
-        # coupled: complex block factors; squeezed: real ones
+        # coupled: the real factors of M' between chirps; squeezed: no chirp
         for M in (np.array([[1.0, 0.3], [0.3, 2.0]]), np.diag([4.0, 1.0])):
             U = metaplectic_lift(M, t, g)
-            (we, Ve), (wo, Vo) = metaplectic._eig_factors(M, g)
+            Mp, chirp = uncoupled_and_chirp(M, g)
+            (we, Ve), (wo, Vo) = metaplectic._eig_factors(Mp, g)
             assert Ve.shape == (h + 1, h + 1) and Vo.shape == (h - 1, h - 1)
-            assert np.iscomplexobj(Ve) == (M[0, 1] != 0.0)
-            # the even and odd coordinates of psi, evolved blockwise, unfolded
-            even = np.concatenate(([psi[0]], (psi[1:h] + psi[:h:-1]) * r, [psi[h]]))
-            odd = (psi[1:h] - psi[:h:-1]) * r
+            assert np.isrealobj(Ve) and np.isrealobj(Vo)
+            # the even and odd coordinates of C psi, evolved blockwise,
+            # unfolded and multiplied by conj(C)
+            cpsi = chirp * psi
+            even = np.concatenate(([cpsi[0]], (cpsi[1:h] + cpsi[:h:-1]) * r, [cpsi[h]]))
+            odd = (cpsi[1:h] - cpsi[:h:-1]) * r
             e = Ve @ (np.exp(-1j * t * we / g.hbar) * (Ve.conj().T @ even))
             o = Vo @ (np.exp(-1j * t * wo / g.hbar) * (Vo.conj().T @ odd))
             ref = np.concatenate(([e[0]], (e[1:h] + o) * r, [e[h]], ((e[1:h] - o) * r)[::-1]))
+            ref *= chirp.conj()
             got = U.apply(State(psi)).values
-            if np.iscomplexobj(Ve):
-                assert np.array_equal(got, ref)
-            else:
-                # a real factor multiplies the real and imaginary parts as
-                # two float columns, which sum in another order
-                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(psi))
+            # a real factor multiplies the real and imaginary parts as two
+            # float columns, which sum in another order
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(psi))
             tracemalloc.start()
             try:
                 U.apply(State(psi))
@@ -269,6 +287,12 @@ class TestMetaplecticLift:
 
     def test_inverse_is_reverse_time(self):
         U = metaplectic_lift(np.eye(2), 0.6, SMALL)
+        phi = gaussian_window(1j, SMALL)
+        back = U.inverse().apply(U.apply(phi))
+        assert np.max(np.abs(back.values - phi.values)) <= 1e-10
+
+    def test_coupled_inverse_keeps_the_chirp(self):
+        U = metaplectic_lift(np.array([[1.0, 0.5], [0.5, 2.0]]), 0.6, SMALL)
         phi = gaussian_window(1j, SMALL)
         back = U.inverse().apply(U.apply(phi))
         assert np.max(np.abs(back.values - phi.values)) <= 1e-10
@@ -329,11 +353,56 @@ class TestMetaplecticLift:
     @pytest.mark.parametrize("M", [np.diag([4.0, 1.0]), np.array([[1.0, 0.5], [0.5, 2.0]])],
                              ids=["squeezed", "coupled"])
     def test_split_lift_equals_dense_complex_eigh(self, M):
-        H = quantize_quadratic(M, SMALL)
+        # a coupled M lifts as C^* U_t(M') C: the exponential of C^* H(M') C
+        Mp, chirp = uncoupled_and_chirp(M, SMALL)
+        H = chirp.conj()[:, None] * quantize_quadratic(Mp, SMALL) * chirp
         w, V = np.linalg.eigh(H.astype(complex))
         t = 0.8
         ref = V @ np.diag(np.exp(-1j * t * w / SMALL.hbar)) @ V.conj().T
         assert np.max(np.abs(dense(metaplectic_lift(M, t, SMALL), SMALL) - ref)) <= 1e-10
+
+    def test_indefinite_coupled_generator_keeps_its_complex_eigh(self):
+        # m12 != 0 = m22 has no shear factorization
+        M = np.array([[1.0, 0.5], [0.5, 0.0]])
+        w, V = np.linalg.eigh(quantize_quadratic(M, SMALL))
+        t = 0.8
+        ref = V @ np.diag(np.exp(-1j * t * w / SMALL.hbar)) @ V.conj().T
+        assert np.max(np.abs(dense(metaplectic_lift(M, t, SMALL), SMALL) - ref)) <= 1e-10
+
+    @COUPLED_MATRICES
+    def test_coupled_lift_evolves_resolved_levels_by_their_phase(self, M):
+        # the lowest N/8 levels of the Weyl quantization of M are resolved on
+        # this grid, and there the chirp factorization must agree with it
+        g = GridSpec.centered(N=256, L=16.0)
+        w, V = np.linalg.eigh(quantize_quadratic(M, g))
+        low = g.N // 8
+        t = 0.8
+        got = metaplectic_lift(M, t, g).apply_columns(V[:, :low])
+        ref = V[:, :low] * np.exp(-1j * t * w[:low] / g.hbar)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_coupled_entry_is_the_real_entry_of_its_uncoupled_M(self, monkeypatch):
+        from collections import OrderedDict
+
+        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
+        g = GridSpec.centered(N=64, L=8.0)
+        M = np.array([[1.0, 0.3], [0.3, 2.0]])
+        Mp, _ = uncoupled_and_chirp(M, g)
+        metaplectic_lift(M, 0.4, g)
+        metaplectic_lift(Mp, 0.4, g)
+        ((key, entry),) = metaplectic._eig_cache.items()
+        assert key == ((Mp + 0.0).tobytes(), g)
+        assert all(np.isrealobj(w) and np.isrealobj(V) for w, V in entry)
+
+    @COUPLED_MATRICES
+    def test_coupled_lift_commutes_with_grid_parity_bitwise(self, M):
+        g = GridSpec.centered(N=128, L=10.3)
+        rng = np.random.default_rng(5)
+        psis = rng.normal(size=(g.N, 3)) + 1j * rng.normal(size=(g.N, 3))
+        par = grid_parity(g)
+        U = metaplectic_lift(M, 0.7, g)
+        assert np.array_equal(U.apply_columns(psis[par]), U.apply_columns(psis)[par])
+
 
 class TestGaussianOracle:
     @pytest.mark.parametrize("M", ORACLE_MATRICES, ids=["round", "squeezed", "coupled"])
@@ -393,11 +462,26 @@ class TestCovarianceDefect:
         d = covariance_defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], DEFAULT)
         assert d <= 1e-3
 
+    def test_coupled_case_on_default_grid(self):
+        d = covariance_defect(np.array([[1.0, 0.5], [0.5, 2.0]]), 0.7, [0.5, 0.5], DEFAULT)
+        assert d <= 1e-3
+
     @pytest.mark.filterwarnings("ignore:.*wrap")
     def test_outside_reliable_box_warns(self):
         # the huge displacement also wraps spatially, which warns separately
         with pytest.warns(UserWarning, match="reliable box"):
             covariance_defect(np.eye(2), 0.1, [0.0, 100.0], SMALL)
+
+    @pytest.mark.parametrize("z", [[0.3, -1.7], [-2.45, 0.6]])
+    def test_batched_translation_equals_heisenberg_bitwise(self, z):
+        g = GridSpec.centered(N=256, L=12.0)
+        rng = np.random.default_rng(3)
+        psis = rng.normal(size=(g.N, 8)) + 1j * rng.normal(size=(g.N, 8))
+        for block in (psis, np.asfortranarray(psis)):
+            got = metaplectic._translate_columns(z, block, g)
+            assert got.flags.c_contiguous
+            for k in range(block.shape[1]):
+                assert np.array_equal(got[:, k], heisenberg(z, State(block[:, k]), g).values)
 
     def test_deterministic(self):
         a = covariance_defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], SMALL)
