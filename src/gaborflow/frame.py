@@ -127,7 +127,8 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
     if len(sys.points) == 0:
         raise ValueError("analysis matrix of an empty point set")
     if sys._rows is None:
-        D = apply_heisenberg(heisenberg_factors(sys.points.points, sys.grid), sys.window, sys.grid)
+        D = apply_heisenberg(heisenberg_factors(sys.points.points, sys.grid), sys.window.values,
+                             sys.grid)
     else:
         D = sys._rows(sys)
     np.conj(D, out=D)
@@ -352,7 +353,7 @@ def ellipsoid_sweep(
     # built once, within the first analysis, so that its time counts there
     fixed = cache(partial(heisenberg_factors, sys.points.points, g))
     bounds0 = frame_bounds(GaborSystem(sys.window, sys.points, g,
-                                       lambda s: apply_heisenberg(fixed(), s.window, g)))
+                                       lambda s: apply_heisenberg(fixed(), s.window.values, g)))
     eps = [max_safe_epsilon(sys.points, ell, boundary_tol) for ell in ells]
     insides = [enclosed_indices(sys.points, ell, boundary_tol) for ell in ells]
     ends = np.cumsum([len(inside) for inside in insides])[:-1]
@@ -363,7 +364,7 @@ def ellipsoid_sweep(
         # one row per moved point to the bit: energies' coordinates can differ in the last bit
         moved = np.concatenate([P.points[inside] for P, inside in zip(deformed, insides)])
         _, first, where = np.unique(moved.view("V16"), return_index=True, return_inverse=True)
-        bank = cache(partial(_row_bank, fixed, windows[t], moved[first], g))
+        bank = cache(partial(_row_bank, fixed, windows[t].values, moved[first], g))
         for e, (P, inside, at) in enumerate(zip(deformed, insides, np.split(where.ravel(), ends))):
             bounds1 = bounds0 if t == 0.0 else frame_bounds(GaborSystem(
                 windows[t], P, g, partial(_gathered_rows, bank, inside, at, workspace)))
@@ -374,7 +375,7 @@ def ellipsoid_sweep(
             k += 1
 
 
-def _row_bank(fixed, psi: State, moved: np.ndarray, g: GridSpec) -> tuple:
+def _row_bank(fixed, psi: np.ndarray, moved: np.ndarray, g: GridSpec) -> tuple:
     """Rows T(z_j) psi of the points ``moved``, then of the ``fixed`` factors,
     whose (m, N) rows are built once the moved rows' factors are freed."""
     return apply_heisenberg(heisenberg_factors(moved, g), psi, g), apply_heisenberg(fixed(), psi, g)

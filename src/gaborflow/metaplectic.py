@@ -2,17 +2,18 @@
 
 The lift of S_t = exp(t J M) is realized as the quantum propagator
 U_t = exp(-i t H_op / hbar) of the symmetrically quantized quadratic
-Hamiltonian H_op = (1/2)(m11 X^2 + m12 (XP + PX) + m22 P^2).  Functional
-calculus through Hermitian eigendecompositions makes U_t automatically
-unitary and continuous in t through the identity, which selects one of the
-two possible lifts canonically and sidesteps kernel-formula caustics.
+Hamiltonian H_op of H(z) = (1/2) M z . z.  Functional calculus through
+eigendecompositions makes U_t automatically unitary and continuous in t
+through the identity, which selects one of the two possible lifts
+canonically and sidesteps kernel-formula caustics.
 
-A coupled M (m12 != 0, m22 != 0) is the uncoupled M' = diag(m11 - c m12,
-m22) pulled back by the shear S_c = [[1, 0], [c, 1]], c = m12 / m22, and
-the shear lifts to multiplication by the chirp C = exp(i c x^2 / (2 hbar)).
-Since the metaplectic representation is a homomorphism, the lift of M is
-taken as C^* U_t(M') C (G. B. Folland, Harmonic Analysis in Phase Space,
-1989, ch. 4), so every generator held is real.
+An uncoupled M (m12 = 0) quantizes as the real (1/2)(m11 X^2 + m22 P^2).  A
+coupled M (m12 != 0, m22 != 0) is M' = diag(m11 - c m12, m22) pulled back
+by the shear S_c = [[1, 0], [c, 1]], c = m12 / m22, which lifts to the chirp
+C = exp(i c x^2 / (2 hbar)) (G. B. Folland, Harmonic Analysis in Phase
+Space, 1989, ch. 4).  Since C^* P C = P + c X, H_op(M) = C^* H_op(M') C, so
+U_t = C^* U_t(M') C and every generator factorized is real.  The indefinite
+m12 != 0 = m22 has no such factorization and is rejected.
 
 Every metaplectic operator commutes with the parity psi(x) -> psi(-x),
 because parity lifts -I, which is central in Sp(2, R).  On the grid the
@@ -32,8 +33,8 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .quantum import (_SQRT_HALF, GridSpec, State, _fold, gaussian_parameter, gaussian_window,
-                      heisenberg, heisenberg_factors)
+from .quantum import (_SQRT_HALF, GridSpec, State, _fold, apply_heisenberg, gaussian_parameter,
+                      gaussian_window, heisenberg_factors)
 from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
@@ -59,29 +60,44 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate((r, r)), N)[N:0:-1]
 
 
-def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
-    """Symmetric (Weyl) quantization of H(z) = (1/2) M z . z for n = 1.
-
-    Returns the dense N x N matrix of H_op = (1/2)(m11 X^2 + m12 (XP + PX) +
-    m22 P^2) on a grid centered on the origin, built from symbol vectors:
-
-    - X^2 is the diagonal of x^2, with x_j = (j - N/2) dx.
-    - P^2 is the real circulant of ifft(p^2), p the signed FFT momenta.
-    - The cross term takes X and P with their self-mirrored modes set to 0:
-      the point x = -L/2 (j = 0) and the Nyquist momentum (j = N/2), as
-      spectral methods do for the Nyquist mode of odd derivatives.  That P
-      is i times the real circulant of imag(ifft(p)).
-
-    Each symbol vector is exactly even or odd under j -> -j mod N (x by its
-    construction, the circulants' vectors by mirroring their first halves),
-    so H commutes with the grid parity bitwise, and it is Hermitian bitwise.
-    H is real when m12 = 0.
-    """
+def _uncoupled(M, g: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
+    """M' and the chirp C on g of M = S_c^T M' S_c (module docstring), for M
+    checked to be a symmetric 2 x 2 matrix; M itself and None when m12 = 0.
+    C is built on x_j = (j - N/2) dx, as ``quantize_quadratic`` builds x, so
+    it is exactly parity-even.  m12 != 0 = m22 raises ``ValueError``."""
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"M must be 2x2, got shape {M.shape}")
     if not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
         raise ValueError("M must be symmetric")
+    m12, m22 = M[0, 1], M[1, 1]
+    if m12 == 0.0:
+        return M, None
+    if m22 == 0.0:
+        raise ValueError("M with m12 != 0 = m22 has no shear factorization")
+    c = m12 / m22
+    x = g.dx * (np.arange(g.N) - g.N // 2)
+    chirp = np.exp(1j * c * (x * x) / (2.0 * g.hbar))
+    return np.array([[M[0, 0] - c * m12, 0.0], [0.0, m22]]), chirp
+
+
+def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
+    """Symmetric (Weyl) quantization of H(z) = (1/2) M z . z for n = 1.
+
+    Returns the dense N x N matrix H_op on a grid centered on the origin,
+    built from symbol vectors: (1/2)(m11 X^2 + m22 P^2) for m12 = 0, and
+    C^* H_op(M') C (module docstring), averaged with its adjoint, otherwise.
+
+    - X^2 is the diagonal of x^2, with x_j = (j - N/2) dx.
+    - P^2 is the real circulant of ifft(p^2), p the signed FFT momenta.
+
+    Each symbol vector and the chirp are exactly even or odd under
+    j -> -j mod N (x by its construction, the circulant's vector by
+    mirroring its first half), so H commutes with the grid parity bitwise,
+    and it is Hermitian bitwise.  H is real when m12 = 0.  An M with
+    m12 != 0 = m22 raises ``ValueError``.
+    """
+    M, chirp = _uncoupled(M, g)
     if g.x_min != -g.L / 2.0:
         raise ValueError("the quantization needs a grid centered on the origin")
     N, h = g.N, g.N // 2
@@ -92,29 +108,21 @@ def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
     H = M[1, 1] * _circulant(c)
     H[np.diag_indices(N)] += M[0, 0] * (x * x)
     H *= 0.5
-    if M[0, 1] != 0.0:
-        x[0] = p[h] = 0.0
-        b = np.fft.ifft(p).imag
-        b[[0, h]] = 0.0
-        b[h + 1:] = -b[h - 1:0:-1]
-        B = _circulant(b)
-        cross = x[:, None] * B
-        cross += B * x
-        cross *= 0.5 * M[0, 1]
-        H = H.astype(complex)
-        H.imag = cross
+    if chirp is not None:
+        H = np.outer(chirp.conj(), chirp) * H
+        H = 0.5 * (H + H.conj().T)
     return H
 
 
 def _parity_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The even (N/2 + 1) and odd (N/2 - 1) blocks of a parity-even H, read
-    from its rows 0..N/2.
+    """The even (N/2 + 1) and odd (N/2 - 1) blocks of a real parity-even H,
+    read from its rows 0..N/2.
 
     They are H in the orthonormal bases of ``_fold``.  Parity gives
     H[N - j, k] = H[j, N - k], so an even entry is H[j, k] + H[j, N - k] and
     an odd one H[j, k] - H[j, N - k], 0 < j, k < N/2; an even entry with one
     self-mirrored index (0 or N/2) is H[j, k] sqrt 2, and one with two is
-    H[j, k].  Both blocks are Hermitian bitwise and have H's dtype.
+    H[j, k].  Both blocks are real and symmetric bitwise.
     """
     N = H.shape[0]
     h = N // 2
@@ -124,7 +132,7 @@ def _parity_blocks(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     even[:, 1:h] += mirror
     odd = top[1:h, 1:h] - mirror[1:h]
     even[[0, h], 1:h] *= _SQRT_HALF
-    even[1:h, [0, h]] = even[[0, h], 1:h].conj().T
+    even[1:h, [0, h]] = even[[0, h], 1:h].T
     return even, odd
 
 
@@ -139,24 +147,21 @@ def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
 
 
 def _dot(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """A @ z for a factor A and a C-contiguous complex block z.  A real A
+    """A @ z for a real factor A and a C-contiguous complex block z.  A
     multiplies the float view of z, whose 2k columns hold its real and
     imaginary parts, so A is never cast to complex."""
-    if np.isrealobj(A):
-        return (A @ z.view(np.float64)).view(complex)
-    return A @ z
+    return (A @ z.view(np.float64)).view(complex)
 
 
 def _evolve(evals: np.ndarray, evecs: np.ndarray, z: np.ndarray, t: float, hbar: float):
-    """V diag(exp(-i t w / hbar)) V^H z for one block's eigenfactors (w, V).
-    V^H z is formed as conj(V^T conj(z)), with V^T a view, so no matrix is
-    copied."""
+    """V diag(exp(-i t w / hbar)) V^T z for one block's real eigenfactors
+    (w, V), with V^T a view, so no matrix is copied."""
     phases = np.exp(-1j * t * evals / hbar)
-    return _dot(evecs, phases[:, None] * _dot(evecs.T, z.conj()).conj())
+    return _dot(evecs, phases[:, None] * _dot(evecs.T, z))
 
 
 def _factorize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of one Hermitian block, held to the
+    """Eigenvalues and eigenvectors of one real symmetric block, held to the
     unitarity guard.  A block with a NaN has no eigenbasis: LAPACK then
     stops without converging or returns NaN eigenvalues, at times beside
     finite vectors, and either fails the guard."""
@@ -167,7 +172,7 @@ def _factorize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pass
     else:
         if np.all(np.isfinite(evals)):
-            gram = evecs.conj().T @ evecs
+            gram = evecs.T @ evecs
             gram[np.diag_indices_from(gram)] -= 1.0
             defect = float(np.max(np.abs(gram)))
     if not (defect <= UNITARITY_TOL):
@@ -181,9 +186,8 @@ def _factorize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # single-writer lock so concurrent readers never observe a partial entry.  The
 # cache is an LRU within a byte budget, so that sweeps over many M cannot grow
 # it without limit.  An entry holds the two blocks' real factors, about 4 N^2
-# bytes, for every positive-definite M (a coupled one is held under its
-# uncoupled M'); the budget of about 256 MiB, sized for four unsplit complex
-# N = 2048 factors, holds fifteen N = 2048 entries.
+# bytes, under M or, for a coupled M, its uncoupled M'; the budget of about
+# 256 MiB holds fifteen N = 2048 entries.
 EIG_CACHE_BYTES = 4 * (16 * 2048**2 + 8 * 2048)
 _eig_cache: OrderedDict = OrderedDict()
 _eig_lock = threading.Lock()
@@ -194,8 +198,8 @@ def _nbytes(blocks) -> int:
 
 
 def _eig_factors(M: np.ndarray, g: GridSpec):
-    """The (evals, evecs) of the even and odd parity blocks of M's generator
-    on g, from the cache or factorized once."""
+    """The (evals, evecs) of the even and odd parity blocks of the generator
+    of an uncoupled M on g, from the cache or factorized once."""
     # + 0.0 turns -0.0 into 0.0, so that both spellings of one M share an entry
     key = ((M + 0.0).tobytes(), g)
     with _eig_lock:
@@ -213,7 +217,7 @@ def _eig_factors(M: np.ndarray, g: GridSpec):
 
 class Propagator:
     """Unitary U_t = exp(-i t H_op / hbar) held as the eigenfactors of the
-    even and odd parity blocks of H_op, and for a coupled M the chirp C
+    even and odd parity blocks of H_op(M'), and for a coupled M the chirp C
     that makes it C^* U_t(M') C.
 
     An apply multiplies psi by C, folds it into its even and odd parts,
@@ -257,23 +261,14 @@ class Propagator:
 def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
     """Lift of the flow exp(t J M) through the identity at t = 0.
 
-    The parity blocks' eigendecompositions of the quantized generator are
-    computed once per (M, grid) and reused across t, so sweeps over time are
-    cheap.  A coupled M with m22 != 0 lifts as C^* U_t(M') C (module
-    docstring) and shares the real factors of M'; an M with
-    m12 != 0 = m22, which is indefinite, factorizes its complex generator.
+    It is exp(-i t H_op / hbar) for H_op = ``quantize_quadratic(M, g)``,
+    held as C^* U_t(M') C (module docstring).  The parity blocks'
+    eigendecompositions of the real generator of M' are computed once per
+    (M', grid) and reused across t, so sweeps over time are cheap.  An M
+    with m12 != 0 = m22 raises ``ValueError``.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (2, 2) or not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
-        raise ValueError("M must be a symmetric 2x2 matrix")
-    m12, m22 = M[0, 1], M[1, 1]
-    if m12 == 0.0 or m22 == 0.0:
-        return Propagator(_eig_factors(M, g), t, g)
-    c = m12 / m22
-    blocks = _eig_factors(np.array([[M[0, 0] - c * m12, 0.0], [0.0, m22]]), g)
-    # x as quantize_quadratic builds it, so that the chirp is exactly parity-even
-    x = g.dx * (np.arange(g.N) - g.N // 2)
-    return Propagator(blocks, t, g, np.exp(1j * c * (x * x) / (2.0 * g.hbar)))
+    M, chirp = _uncoupled(M, g)
+    return Propagator(_eig_factors(M, g), t, g, chirp)
 
 
 def _probe_block(g: GridSpec) -> np.ndarray:
@@ -282,18 +277,15 @@ def _probe_block(g: GridSpec) -> np.ndarray:
     rng = np.random.default_rng(_PROBE_SEED)
     gauss = gaussian_window(1j, g)
     ws = rng.uniform(-_PROBE_SPREAD, _PROBE_SPREAD, size=(_PROBE_COUNT, 2))
-    return np.column_stack([heisenberg(w, gauss, g).values for w in ws])
+    return np.ascontiguousarray(apply_heisenberg(heisenberg_factors(ws, g), gauss.values, g).T)
 
 
 def _translate_columns(z, psis: np.ndarray, g: GridSpec) -> np.ndarray:
     """T(z) applied to every column of an (N, k) block, each bitwise as
-    ``heisenberg`` applies it: T(z)'s factors are built once and the
-    columns, as rows, are shifted by one batched FFT.  The result is
-    C-contiguous, as ``_dot``'s float view needs."""
-    ramp, phase = heisenberg_factors(np.reshape(z, (1, -1)), g)
-    rows = np.fft.fft(psis.T, axis=1)
-    rows = np.fft.ifft(np.multiply(rows, ramp, out=rows), axis=1)
-    return np.ascontiguousarray(np.multiply(phase, rows, out=rows).T)
+    ``heisenberg`` applies it, as one C-contiguous block, as ``_dot``'s
+    float view needs."""
+    rows = apply_heisenberg(heisenberg_factors(np.reshape(z, (1, -1)), g), psis.T, g)
+    return np.ascontiguousarray(rows.T)
 
 
 def covariance_defect(M, t: float, z, g: GridSpec) -> float:

@@ -142,10 +142,10 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
     The translation part is an FFT fractional circular shift (exact and
     unitary on the band-limited discrete model, so deformed phase-space
     points may land between grid nodes); the modulation and the symmetric
-    half-phase are applied pointwise.  A wrap-around warning is emitted for
-    |q| >= L/2.
+    half-phase are applied pointwise.  It warns of wrap-around as
+    ``heisenberg_factors`` does.
     """
-    return State(apply_heisenberg(heisenberg_factors(np.reshape(z, (1, -1)), g), psi, g)[0])
+    return State(apply_heisenberg(heisenberg_factors(np.reshape(z, (1, -1)), g), psi.values, g)[0])
 
 
 def heisenberg_factors(points, g: GridSpec) -> tuple:
@@ -155,7 +155,7 @@ def heisenberg_factors(points, g: GridSpec) -> tuple:
     They depend on the points and the grid, not on the window, so a sweep of
     windows over one point set builds them once (``apply_heisenberg`` does
     the rest).  Each row is built alone, bitwise as in any point set holding
-    z_j.  One wrap-around warning is emitted when some |q_j| >= L/2.
+    z_j.  One wrap-around warning is emitted when some |q_j| > (L/2)(1 + 1e-12).
     """
     factors = _ramp_and_phase(_phase_points(points, g), g)
     for f in factors:
@@ -164,8 +164,8 @@ def heisenberg_factors(points, g: GridSpec) -> tuple:
 
 
 def _phase_points(points, g: GridSpec) -> np.ndarray:
-    """points as an (m, 2) float array of finite phase points, with one
-    wrap-around warning when some |q_j| >= L/2."""
+    """points as an (m, 2) float array of finite phase points, with
+    ``heisenberg_factors``' wrap-around warning."""
     z = np.asarray(points, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise ValueError(f"heisenberg requires 2-D phase points (n=1), got shape {z.shape}")
@@ -189,18 +189,21 @@ def _ramp_and_phase(z: np.ndarray, g: GridSpec) -> tuple:
     return np.exp(ramp, out=ramp), np.exp(phase, out=phase)
 
 
-def apply_heisenberg(factors, psi: State, g: GridSpec) -> np.ndarray:
-    """Samples of T(z_j) psi, one row per z_j, from their ``heisenberg_factors``:
-    the spectrum of psi times the shift ramps, an inverse FFT along the rows
-    (the band-limited circular shift psi(x) -> psi(x - q_j)) and the
-    modulations, in place, each row as if built alone.  Two (m, N) arrays
-    are allocated.  The products keep their operand order, spectrum * ramp
-    and phase * shifted, because numpy's complex product rounds differently
-    with its operands swapped.
+def apply_heisenberg(factors, psi: np.ndarray, g: GridSpec) -> np.ndarray:
+    """T(z_j) psi from the ``heisenberg_factors`` of the z_j, for samples psi
+    whose last axis is the grid: one row per z_j for one state, T(z) of each
+    row for a (k, N) block and one z.  The spectrum of psi times the shift
+    ramps, an inverse FFT along the rows (the band-limited circular shift
+    psi(x) -> psi(x - q_j)) and the modulations, in place, each row as if
+    built alone; two arrays of the output's shape are allocated.  The
+    products keep their operand order, spectrum * ramp and phase * shifted,
+    because numpy's complex product rounds differently with its operands
+    swapped.
     """
-    _check_grid(psi, g)
+    if np.shape(psi)[-1:] != (g.N,):
+        raise ValueError(f"samples of shape {np.shape(psi)} do not match grid N={g.N}")
     ramp, phase = factors
-    out = np.fft.ifft(np.multiply(np.fft.fft(psi.values), ramp), axis=1)
+    out = np.fft.ifft(np.multiply(np.fft.fft(psi), ramp), axis=-1)
     return np.multiply(phase, out, out=out)
 
 

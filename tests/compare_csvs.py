@@ -15,7 +15,8 @@ them once on this checkout's ``src``, uncommitted edits included, and once
 on PARENT_REV's, unpacked with ``git archive`` into a temporary directory.
 For each CSV it prints "byte-identical" or, per column, the largest
 absolute and relative deviation; a differing exit code or a missing file is
-printed too.
+printed too.  It exits 1 when a CSV differs, a CSV is written on one side
+only or an exit code differs, and 0 otherwise.
 
 The bytes depend on the BLAS build, so this is a tool for comparing two
 revisions on one machine, not a test; pytest does not collect it.
@@ -163,11 +164,12 @@ def main(argv=None) -> int:
         old_src = _unpack(args.parent_rev, tmp / "parent")
         sides = {"new": ROOT / "src", "old": old_src}
         codes = {side: _run_all(src, configs, tmp / side) for side, src in sides.items()}
-        identical = total = 0
+        identical = total = codes_differ = 0
         for name, (_, commands) in configs.items():
             for cmd in commands:
                 key = (name, cmd)
                 if codes["new"][key] != codes["old"][key]:
+                    codes_differ += 1
                     print(f"{name} {cmd}: exit {codes['new'][key]} here, "
                           f"{codes['old'][key]} at {args.parent_rev}")
                 new_dir, old_dir = tmp / "new" / name / cmd, tmp / "old" / name / cmd
@@ -187,7 +189,7 @@ def main(argv=None) -> int:
                     for line in lines:
                         print(f"    {line}")
         print(f"{identical} of {total} CSVs byte-identical to {args.parent_rev}")
-    return 0
+    return int(codes_differ > 0 or identical < total)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from gaborflow.lattice import (
 from gaborflow import metaplectic, quantum
 from gaborflow.metaplectic import metaplectic_lift
 from gaborflow.quantum import GridSpec, State, gaussian_window, heisenberg, inner, norm
-from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix
+from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix, standard_J
 
 ALPHA = 2.0 ** -0.5
 REF_GRID = GridSpec.centered(N=128, L=12.0)
@@ -63,6 +63,21 @@ class TestGaborSystem:
         P = PointSet(np.array([[3.0, 0.0]]), 1.0)
         with pytest.warns(UserWarning, match="wrap"):
             GaborSystem(phi, P, g)
+
+    @pytest.mark.parametrize("q, warns", [(2.0, False), (2.0 * (1.0 + 1e-9), True)])
+    def test_wrap_around_warns_only_past_the_box_edge(self, q, warns):
+        # |q| = L/2 is the edge of a torus-covering box (torus_sweep.json has
+        # points at q = -L/2); the system and its translations warn alike
+        g = GridSpec.centered(N=64, L=4.0)
+        phi = gaussian_window(1j, g)
+        for z in ([q, 0.0], [-q, 0.0]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                GaborSystem(phi, PointSet(np.array([z]), 1.0), g)
+                heisenberg(z, phi, g)
+            messages = [str(w.message) for w in caught]
+            assert any("windows wrap around the box" in m for m in messages) == warns
+            assert any("wrap-around regime" in m for m in messages) == warns
 
 
 class TestAnalysis:
@@ -693,3 +708,30 @@ class TestNegativeControl:
         bounds = frame_bounds(GaborSystem(seam_free_odd_window(g), P, g))
         assert bounds.is_frame
         assert bounds.A == pytest.approx(3.6530608885, rel=1e-10)
+
+
+class TestTorusShears:
+    """The lifts of diag(1, 0), a chirp, and of diag(0, 1), a Fourier
+    multiplier, with every point of a torus-covering lattice moved by the
+    shear S_t = I + t J M: at t = 1/2 and 1 the deformed system keeps the
+    bounds of the undeformed one (at t = 0.3 it does not, by up to 2.4e-3).
+    S_1 maps the lattice onto itself modulo the torus, so the lift at t = 1/2
+    is pinned up to U_1, under which the bounds are invariant: U_{-1/2}
+    passes as well, U_0 and U_{0.3} do not."""
+
+    @TORUS_GRIDS
+    @pytest.mark.parametrize("t", [0.5, 1.0])
+    @pytest.mark.parametrize("M", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
+                             ids=["chirp", "multiplier"])
+    @pytest.mark.filterwarnings("ignore:.*wrap")
+    def test_shear_of_window_and_points_keeps_the_bounds(self, N, L, t, M):
+        g = GridSpec.centered(N=N, L=L)
+        P = torus_lattice(g, 0.5, 0.5)
+        window = gaussian_window(0.6 + 1.5j, g)
+        before = frame_bounds(GaborSystem(window, P, g))
+        St = np.eye(2) + t * (standard_J(1) @ M)
+        moved = PointSet(P.points @ St.T, 0.25)
+        after = frame_bounds(GaborSystem(metaplectic_lift(M, t, g).apply(window), moved, g))
+        assert before.is_frame
+        assert after.A == pytest.approx(before.A, rel=1e-12)
+        assert after.B == pytest.approx(before.B, rel=1e-12)

@@ -82,10 +82,10 @@ def dense_circulant(c):
 
 def dense_operator_quantization(M, g):
     """The Weyl quantization with X held as a dense diagonal matrix and P^2,
-    P' as dense circulants: the four-product formula that
+    P' as dense circulants: the four-product formula whose uncoupled case
     ``quantize_quadratic`` must reproduce bitwise.  The cross term's X and P
     have their self-mirrored modes, x = -L/2 and the Nyquist momentum, set
-    to 0."""
+    to 0: an independent quantization of a coupled M."""
     x, c, b = parity_symbols(g)
     X = np.diag(x)
     H = 0.5 * (M[0, 0] * (X @ X) + M[1, 1] * dense_circulant(c))
@@ -149,8 +149,15 @@ class TestQuantizeQuadratic:
     @pytest.mark.parametrize("N", [16, 64])
     @QUANTIZED_MATRICES
     def test_equals_dense_operator_formula_bitwise(self, M, N):
+        # a coupled M is C^* H(M') C, formed entrywise and averaged with its adjoint
         g = GridSpec.centered(N=N, L=8.0)
-        assert np.array_equal(quantize_quadratic(M, g), dense_operator_quantization(M, g))
+        if M[0, 1] == 0.0:
+            ref = dense_operator_quantization(M, g)
+        else:
+            Mp, chirp = uncoupled_and_chirp(M, g)
+            ref = np.outer(chirp.conj(), chirp) * dense_operator_quantization(Mp, g)
+            ref = 0.5 * (ref + ref.conj().T)
+        assert np.array_equal(quantize_quadratic(M, g), ref)
 
     # 10.3 is not dyadic, so x_min + k dx need not be exactly odd in k
     @pytest.mark.parametrize("L", [8.0, 10.3])
@@ -353,28 +360,28 @@ class TestMetaplecticLift:
     @pytest.mark.parametrize("M", [np.diag([4.0, 1.0]), np.array([[1.0, 0.5], [0.5, 2.0]])],
                              ids=["squeezed", "coupled"])
     def test_split_lift_equals_dense_complex_eigh(self, M):
-        # a coupled M lifts as C^* U_t(M') C: the exponential of C^* H(M') C
-        Mp, chirp = uncoupled_and_chirp(M, SMALL)
-        H = chirp.conj()[:, None] * quantize_quadratic(Mp, SMALL) * chirp
-        w, V = np.linalg.eigh(H.astype(complex))
+        # the lift is the exponential of quantize_quadratic(M), coupled or not
+        w, V = np.linalg.eigh(quantize_quadratic(M, SMALL).astype(complex))
         t = 0.8
         ref = V @ np.diag(np.exp(-1j * t * w / SMALL.hbar)) @ V.conj().T
         assert np.max(np.abs(dense(metaplectic_lift(M, t, SMALL), SMALL) - ref)) <= 1e-10
 
-    def test_indefinite_coupled_generator_keeps_its_complex_eigh(self):
+    @pytest.mark.parametrize("M", [[[1.0, 0.5], [0.5, 0.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                             ids=["m22=0", "m11=m22=0"])
+    def test_indefinite_coupled_generator_is_rejected(self, M):
         # m12 != 0 = m22 has no shear factorization
-        M = np.array([[1.0, 0.5], [0.5, 0.0]])
-        w, V = np.linalg.eigh(quantize_quadratic(M, SMALL))
-        t = 0.8
-        ref = V @ np.diag(np.exp(-1j * t * w / SMALL.hbar)) @ V.conj().T
-        assert np.max(np.abs(dense(metaplectic_lift(M, t, SMALL), SMALL) - ref)) <= 1e-10
+        with pytest.raises(ValueError, match="m12 != 0 = m22"):
+            quantize_quadratic(M, SMALL)
+        with pytest.raises(ValueError, match="m12 != 0 = m22"):
+            metaplectic_lift(M, 0.8, SMALL)
 
     @COUPLED_MATRICES
     def test_coupled_lift_evolves_resolved_levels_by_their_phase(self, M):
-        # the lowest N/8 levels of the Weyl quantization of M are resolved on
-        # this grid, and there the chirp factorization must agree with it
+        # the lowest N/8 levels of the cross-term quantization of M are
+        # resolved on this grid, and there the chirp factorization must agree
+        # with it
         g = GridSpec.centered(N=256, L=16.0)
-        w, V = np.linalg.eigh(quantize_quadratic(M, g))
+        w, V = np.linalg.eigh(dense_operator_quantization(M, g))
         low = g.N // 8
         t = 0.8
         got = metaplectic_lift(M, t, g).apply_columns(V[:, :low])

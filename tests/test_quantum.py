@@ -123,9 +123,9 @@ class TestHeisenberg:
         # included, is bitwise the row built with all the points
         phi = gaussian_window(0.4 + 1j, GRID)
         z = np.random.default_rng(5).uniform(-2.0, 2.0, (6, 2))
-        rows = apply_heisenberg(heisenberg_factors(z, GRID), phi, GRID)
+        rows = apply_heisenberg(heisenberg_factors(z, GRID), phi.values, GRID)
         for subset in ([4, 1], [2], [0, 5, 3]):
-            part = apply_heisenberg(heisenberg_factors(z[subset], GRID), phi, GRID)
+            part = apply_heisenberg(heisenberg_factors(z[subset], GRID), phi.values, GRID)
             assert np.array_equal(part, rows[subset])
 
 
