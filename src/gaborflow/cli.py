@@ -105,8 +105,7 @@ def cmd_flow(args) -> int:
 def cmd_epsilon(args) -> int:
     cfg = _load_config(args)
     ell = cfg.build_ellipsoid()
-    eps = max_safe_epsilon(cfg.build_lattice(), ell, cfg.tolerances.boundary_tol,
-                           cfg.tolerances.eps_max)
+    eps = max_safe_epsilon(cfg.build_lattice(), ell, cfg.tolerances.boundary_tol)
     print(_fmt(eps))
     if args.out:
         _write_csv(_outdir(args) / "epsilon.csv", ("E", "eps_star"),

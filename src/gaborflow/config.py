@@ -1,4 +1,4 @@
-"""Scenario configuration: one table of 19 fields, each converted and checked
+"""Scenario configuration: one table of 17 fields, each converted and checked
 when a file or an override sets it, whichever subcommand then runs.
 
 Unknown sections and keys are rejected, and a value of the wrong kind fails
@@ -22,7 +22,6 @@ import numpy as np
 from .flow import TruncatedHamiltonian
 from .lattice import Box, Ellipsoid, PointSet, separable_lattice
 from .quantum import (
-    HBAR_GABOR,
     GridSpec,
     State,
     gaussian_parameter,
@@ -135,7 +134,7 @@ def _energies(value) -> list[float]:
 
 # section -> key -> (kind, default)
 _FIELDS = {
-    "grid": {"N": (_grid_size, 128), "L": (_positive, 12.0), "hbar": (_positive, HBAR_GABOR)},
+    "grid": {"N": (_grid_size, 128), "L": (_positive, 12.0)},
     # the Gaussian parameter is not read when a state file is given
     "window": {
         "gamma": (_gamma, [0.0, 1.0]),
@@ -164,7 +163,7 @@ _FIELDS = {
                   [[0.0, 1.0, 0.0], [math.pi / 2.0, 1.0, 0.0], [0.7, 0.5, 0.5]]),
         "grids": (_optional(_list(_grid_size)), None),
     },
-    "tolerances": {"boundary_tol": (_non_negative, 1e-9), "eps_max": (_positive, 1.0)},
+    "tolerances": {"boundary_tol": (_non_negative, 1e-9)},
 }
 
 
@@ -245,8 +244,7 @@ class ScenarioConfig:
 
     def build_grid(self, N: int | None = None) -> GridSpec:
         with _rejected_as("grid"):
-            return GridSpec.centered(N=self.grid.N if N is None else N, L=self.grid.L,
-                                     hbar=self.grid.hbar)
+            return GridSpec.centered(N=self.grid.N if N is None else N, L=self.grid.L)
 
     def build_window(self, g: GridSpec) -> State:
         with _rejected_as("window"):

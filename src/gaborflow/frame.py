@@ -261,7 +261,7 @@ def full_phase_space_points(g: GridSpec) -> PointSet:
     The associated Gabor system is a tight frame of the discrete model for
     any window; it serves as the completeness oracle in the tests.
     """
-    ks = (np.arange(g.N) - g.N // 2) * g.dx
+    ks = g.xs()
     js = (np.arange(g.N) - g.N // 2) * g.dp
     K, Jm = np.meshgrid(ks, js, indexing="ij")
     pts = np.stack([K.ravel(), Jm.ravel()], axis=-1)

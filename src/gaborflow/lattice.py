@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 BOUNDARY_TOL_DEFAULT = 1e-9
-EPS_MAX_DEFAULT = 1.0
-COLLISION_TOL_DEFAULT = 1e-9
+EPS_MAX = 1.0
+COLLISION_TOL = 1e-9
 ON_SURFACE_REL_TOL = 1e-10
 # relative slack absorbing float noise in the separation / box membership checks
 _REL_SLACK = 1e-9
@@ -433,15 +433,14 @@ def max_safe_epsilon(
     P: PointSet,
     ell: Ellipsoid,
     boundary_tol: float = BOUNDARY_TOL_DEFAULT,
-    eps_max: float = EPS_MAX_DEFAULT,
 ) -> float:
     """Largest thickening radius of the surface that captures no new points.
 
     Returns min over off-surface points of their distance to the surface; any
     thickening with radius strictly below this value contains exactly the
     points already on the surface.  If P is empty or every point lies on the
-    surface, returns the configured cap ``eps_max`` (a finite cap keeps cutoff
-    supports bounded).
+    surface, returns the cap ``EPS_MAX`` (a finite cap keeps cutoff supports
+    bounded).
 
     The minimum equals that of ``off_surface_distances`` bitwise, but only
     the points that can attain it are projected.  Each off-surface point z,
@@ -467,7 +466,7 @@ def max_safe_epsilon(
     vals, on = _surface_band(P, ell, boundary_tol)
     off = np.nonzero(~on)[0]
     if off.size == 0:
-        return eps_max
+        return EPS_MAX
     z, Hz, E = P.points[off], vals[off], ell.E
     r = np.sqrt(np.einsum("ij,ij->i", z, z))
     r_in, r_out, mu = ell.inner_radius, ell.outer_radius, ell.H.max_eigenvalue
@@ -486,7 +485,6 @@ def deform_point_set(
     moved: np.ndarray,
     ell: Ellipsoid,
     t: float,
-    collision_tol: float = COLLISION_TOL_DEFAULT,
 ) -> PointSet:
     """Move the points at indices ``moved`` along the flow S_t = exp(t J M)
     of the ellipsoid Hamiltonian; the rest keep bitwise-equal coordinates.
@@ -495,7 +493,7 @@ def deform_point_set(
     S_t(F), F the enclosed set.  Surface points stay on the surface because
     it is an energy level set of the driving Hamiltonian.
 
-    If a moved point lands within ``collision_tol`` of any other point, a
+    If a moved point lands within ``COLLISION_TOL`` of any other point, a
     warning is issued instead of failing, and the certified separation is
     lowered to the measured minimum distance.
     """
@@ -509,9 +507,9 @@ def deform_point_set(
         dmin = _nearest_distance(new_pts, moved)
     else:
         dmin = P.delta
-    if dmin < collision_tol:
+    if dmin < COLLISION_TOL:
         warnings.warn(
-            f"deform_point_set: moved point within {collision_tol:g} of another point "
+            f"deform_point_set: moved point within {COLLISION_TOL:g} of another point "
             f"(min distance {dmin:.3e}); separation lowered",
             stacklevel=2,
         )

@@ -63,8 +63,8 @@ def _circulant(c: np.ndarray) -> np.ndarray:
 def _uncoupled(M, g: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
     """M' and the chirp C on g of M = S_c^T M' S_c (module docstring), for M
     checked to be a symmetric 2 x 2 matrix; M itself and None when m12 = 0.
-    C is built on x_j = (j - N/2) dx, as ``quantize_quadratic`` builds x, so
-    it is exactly parity-even.  m12 != 0 = m22 raises ``ValueError``."""
+    C is exactly parity-even, as g's x is exactly odd.  m12 != 0 = m22 raises
+    ``ValueError``."""
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"M must be 2x2, got shape {M.shape}")
@@ -76,7 +76,7 @@ def _uncoupled(M, g: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
     if m22 == 0.0:
         raise ValueError("M with m12 != 0 = m22 has no shear factorization")
     c = m12 / m22
-    x = g.dx * (np.arange(g.N) - g.N // 2)
+    x = g.xs()
     chirp = np.exp(1j * c * (x * x) / (2.0 * g.hbar))
     return np.array([[M[0, 0] - c * m12, 0.0], [0.0, m22]]), chirp
 
@@ -84,24 +84,22 @@ def _uncoupled(M, g: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
 def quantize_quadratic(M, g: GridSpec) -> np.ndarray:
     """Symmetric (Weyl) quantization of H(z) = (1/2) M z . z for n = 1.
 
-    Returns the dense N x N matrix H_op on a grid centered on the origin,
-    built from symbol vectors: (1/2)(m11 X^2 + m22 P^2) for m12 = 0, and
-    C^* H_op(M') C (module docstring), averaged with its adjoint, otherwise.
+    Returns the dense N x N matrix H_op, built from symbol vectors:
+    (1/2)(m11 X^2 + m22 P^2) for m12 = 0, and C^* H_op(M') C (module
+    docstring), averaged with its adjoint, otherwise.
 
-    - X^2 is the diagonal of x^2, with x_j = (j - N/2) dx.
+    - X^2 is the diagonal of x^2, x = ``g.xs()``.
     - P^2 is the real circulant of ifft(p^2), p the signed FFT momenta.
 
     Each symbol vector and the chirp are exactly even or odd under
-    j -> -j mod N (x by its construction, the circulant's vector by
+    j -> -j mod N (x as the grid builds it, the circulant's vector by
     mirroring its first half), so H commutes with the grid parity bitwise,
     and it is Hermitian bitwise.  H is real when m12 = 0.  An M with
     m12 != 0 = m22 raises ``ValueError``.
     """
     M, chirp = _uncoupled(M, g)
-    if g.x_min != -g.L / 2.0:
-        raise ValueError("the quantization needs a grid centered on the origin")
     N, h = g.N, g.N // 2
-    x = g.dx * (np.arange(N) - h)
+    x = g.xs()
     p = g.momenta()
     c = np.fft.ifft(p * p).real
     c[h + 1:] = c[h - 1:0:-1]
@@ -153,10 +151,10 @@ def _dot(A: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (A @ z.view(np.float64)).view(complex)
 
 
-def _evolve(evals: np.ndarray, evecs: np.ndarray, z: np.ndarray, t: float, hbar: float):
+def _evolve(evals: np.ndarray, evecs: np.ndarray, z: np.ndarray, t: float):
     """V diag(exp(-i t w / hbar)) V^T z for one block's real eigenfactors
     (w, V), with V^T a view, so no matrix is copied."""
-    phases = np.exp(-1j * t * evals / hbar)
+    phases = np.exp(-1j * t * evals / GridSpec.hbar)
     return _dot(evecs, phases[:, None] * _dot(evecs.T, z))
 
 
@@ -228,11 +226,10 @@ class Propagator:
     bitwise trivial.
     """
 
-    def __init__(self, blocks, t: float, grid: GridSpec, chirp: np.ndarray | None = None):
+    def __init__(self, blocks, t: float, chirp: np.ndarray | None = None):
         self._blocks = blocks
         self._chirp = chirp
         self.t = float(t)
-        self.grid = grid
 
     def apply(self, psi: State) -> State:
         return State(self.apply_columns(psi.values[:, None])[:, 0])
@@ -248,14 +245,13 @@ class Propagator:
             psis = chirp[:, None] * psis
         (we, Ve), (wo, Vo) = self._blocks
         even, odd = _fold(psis)
-        hbar = self.grid.hbar
-        out = _unfold(_evolve(we, Ve, even, self.t, hbar), _evolve(wo, Vo, odd, self.t, hbar))
+        out = _unfold(_evolve(we, Ve, even, self.t), _evolve(wo, Vo, odd, self.t))
         if chirp is not None:
             out *= chirp.conj()[:, None]
         return out
 
     def inverse(self) -> "Propagator":
-        return Propagator(self._blocks, -self.t, self.grid, self._chirp)
+        return Propagator(self._blocks, -self.t, self._chirp)
 
 
 def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
@@ -268,7 +264,7 @@ def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
     with m12 != 0 = m22 raises ``ValueError``.
     """
     M, chirp = _uncoupled(M, g)
-    return Propagator(_eig_factors(M, g), t, g, chirp)
+    return Propagator(_eig_factors(M, g), t, chirp)
 
 
 def _probe_block(g: GridSpec) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Discretized 1-D state space with a Planck parameter: periodized grids,
+"""Discretized 1-D state space at hbar = 1/(2 pi): centered periodized grids,
 phase-space translation (Heisenberg) operators, and Gaussian windows.
 
 The phase-space translation by z = (q, p) acts as
@@ -41,30 +41,28 @@ _SQRT_HALF = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling grid x_k = x_min + k*dx, k = 0..N-1, with Planck parameter.
+    """Sampling grid x_j = (j - N/2) dx, j = 0..N-1, centered on the origin,
+    at the Gabor normalization hbar = 1/(2 pi).
 
-    N must be a power of two (>= 16).  The implied spatial period is
-    L = N*dx and the momentum lattice spacing is dp = 2*pi*hbar/L.  The
-    choice hbar = 1/(2*pi) recovers standard Gabor frame conventions.
+    N must be a power of two (>= 16).  The spatial period is L = N dx and the
+    momentum lattice spacing is dp = 2 pi hbar / L.  x is exactly odd under
+    j -> -j mod N, so the grid parity psi(x) -> psi(-x) is exact.
     """
 
     N: int
-    x_min: float
     dx: float
-    hbar: float
+    hbar = HBAR_GABOR
 
     def __post_init__(self):
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 16, got {self.N}")
         if not (self.dx > 0.0):
             raise ValueError(f"dx must be positive, got {self.dx!r}")
-        if not (self.hbar > 0.0):
-            raise ValueError(f"hbar must be positive, got {self.hbar!r}")
 
     @classmethod
-    def centered(cls, N: int = 1024, L: float = 16.0, hbar: float = HBAR_GABOR) -> "GridSpec":
-        """Grid centered on the origin: x_min = -L/2, dx = L/N."""
-        return cls(N=N, x_min=-L / 2.0, dx=L / N, hbar=hbar)
+    def centered(cls, N: int = 1024, L: float = 16.0) -> "GridSpec":
+        """The grid of period L: dx = L/N."""
+        return cls(N=N, dx=L / N)
 
     @property
     def L(self) -> float:
@@ -75,7 +73,7 @@ class GridSpec:
         return 2.0 * math.pi * self.hbar / self.L
 
     def xs(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.N)
+        return self.dx * (np.arange(self.N) - self.N // 2)
 
     def momenta(self) -> np.ndarray:
         """Momentum samples hbar * 2*pi * f in signed FFT ordering."""
@@ -230,10 +228,10 @@ def gaussian_window(Gamma: complex, g: GridSpec) -> State:
 
 
 def save_state(path, psi: State, g: GridSpec) -> None:
-    """Binary dump: one JSON header line with the grid, then little-endian
-    float64 samples interleaved (re, im)."""
+    """Binary dump: one JSON header line with the grid (N, x_min = -L/2, dx
+    and hbar), then little-endian float64 samples interleaved (re, im)."""
     _check_grid(psi, g)
-    header = json.dumps({"N": g.N, "x_min": g.x_min, "dx": g.dx, "hbar": g.hbar})
+    header = json.dumps({"N": g.N, "x_min": -g.L / 2.0, "dx": g.dx, "hbar": g.hbar})
     inter = np.empty(2 * g.N, dtype="<f8")
     inter[0::2] = psi.values.real
     inter[1::2] = psi.values.imag
@@ -243,12 +241,22 @@ def save_state(path, psi: State, g: GridSpec) -> None:
 
 
 def load_state(path) -> tuple[State, GridSpec]:
+    """The state and grid of a ``save_state`` file.  A header that is not an
+    object with the keys N, x_min, dx and hbar, or whose grid is not centered
+    at hbar = 1/(2 pi), raises ``ValueError``."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii")
         raw = fh.read()
     meta = json.loads(header)
-    g = GridSpec(N=int(meta["N"]), x_min=float(meta["x_min"]), dx=float(meta["dx"]),
-                 hbar=float(meta["hbar"]))
+    try:
+        g = GridSpec(N=int(meta["N"]), dx=float(meta["dx"]))
+        x_min, hbar = float(meta["x_min"]), float(meta["hbar"])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"state header {header.strip()!r} is not an object of the "
+                         "numbers N, x_min, dx and hbar") from exc
+    if x_min != -g.L / 2.0 or hbar != g.hbar:
+        raise ValueError(f"state grid x_min={x_min!r}, hbar={hbar!r} is not centered "
+                         "at hbar = 1/(2 pi)")
     inter = np.frombuffer(raw, dtype="<f8")
     if inter.size != 2 * g.N:
         raise ValueError(f"payload holds {inter.size} doubles, expected {2 * g.N}")

@@ -10,7 +10,9 @@ transition shell, where every RK4 stage projects onto the ellipsoid: one on
 a coupled 2 x 2 M and one on a 4 x 4 M (n = 2).  Every config above that
 lifts a window or runs ``covariance`` has m12 = 0, so ``covariance`` and
 ``deform`` also run on a coupled M, whose lift goes through the shear's
-chirp.  It runs
+chirp.  ``bounds`` and ``deform`` also run on a window read from a state
+file, which the tool writes itself in ``save_state``'s documented format, so
+that ``load_state`` stays under the comparison.  It runs
 them once on this checkout's ``src``, uncommitted edits included, and once
 on PARENT_REV's, unpacked with ``git archive`` into a temporary directory.
 For each CSV it prints "byte-identical" or, per column, the largest
@@ -37,6 +39,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("bounds", "deform", "flow", "epsilon", "count", "covariance")
 # configs beyond the default and the scenarios: name -> (config, commands)
@@ -62,7 +66,27 @@ EXTRA_CONFIGS = {
         "covariance": {"grids": [512, 1024],
                        "cases": [[0.3, 0.5, -0.4], [0.8, -1.0, 0.7], [1.4, 1.2, 1.1]]},
     }, ("covariance", "deform")),
+    # window.bin, written by _write_window, is found in the working directory
+    "window_file": ({
+        "grid": {"N": 256, "L": 16.0},
+        "window": {"file": "window.bin"},
+    }, ("bounds", "deform")),
 }
+
+
+def _write_window(path: Path) -> None:
+    """A state file as ``save_state`` writes it: one JSON header line with
+    N, x_min, dx and hbar, then little-endian float64 samples interleaved
+    (re, im).  The window, x exp(i Gamma x^2 / (2 hbar)) for
+    Gamma = 0.6 + 1.5i on N = 256 and L = 16, is odd and not a Gaussian."""
+    N, L, hbar = 256, 16.0, 1.0 / (2.0 * math.pi)
+    dx = L / N
+    x = dx * (np.arange(N) - N // 2)
+    v = x * np.exp(1j * (0.6 + 1.5j) * (x * x) / (2.0 * hbar))
+    inter = np.empty(2 * N, dtype="<f8")
+    inter[0::2], inter[1::2] = v.real, v.imag
+    header = json.dumps({"N": N, "x_min": -L / 2.0, "dx": dx, "hbar": hbar})
+    path.write_bytes(header.encode("ascii") + b"\n" + inter.tobytes())
 
 
 def _small_config() -> dict:
@@ -80,6 +104,7 @@ def _configs(workdir: Path) -> dict:
     default; the commands to run on it)."""
     small = workdir / "small_config.json"
     small.write_text(json.dumps(_small_config()))
+    _write_window(workdir / "window.bin")
     configs = {"default": (None, COMMANDS), "small_config": (small, COMMANDS)}
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         configs[path.stem] = (path, COMMANDS)
@@ -99,7 +124,8 @@ def _unpack(rev: str, dest: Path) -> Path:
 
 
 def _run_all(src: Path, configs: dict, out: Path) -> dict:
-    """Run every command on every config; (config, command) -> exit code."""
+    """Run every command on every config, from the directory of the configs
+    and the window file, out's parent; (config, command) -> exit code."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out.mkdir()
     codes = {}
@@ -109,7 +135,8 @@ def _run_all(src: Path, configs: dict, out: Path) -> dict:
                     str(out / name / cmd), "--no-timestamp"]
             if path is not None:
                 argv += ["--config", str(path)]
-            proc = subprocess.run(argv, cwd=out, env=env, capture_output=True, text=True)
+            proc = subprocess.run(argv, cwd=out.parent, env=env, capture_output=True,
+                                  text=True)
             codes[name, cmd] = proc.returncode
     return codes
 

@@ -323,9 +323,10 @@ class TestCliCommands:
         ("covariance", "covariance.cases=[[1,2]]"),
         ("covariance", 'covariance.grids=["x"]'),
         ("count", "lattice.box=[[-Infinity,1],[0,1]]"),
-        # an empty box, whose eps* is the cap eps_max
-        ("epsilon", f"{EMPTY_BOX} tolerances.eps_max=NaN"),
-        ("epsilon", f"{EMPTY_BOX} tolerances.eps_max=-1"),
+        # an empty box's eps* is the cap EPS_MAX, and hbar is 1/(2 pi): constants,
+        # not keys
+        ("epsilon", f"{EMPTY_BOX} tolerances.eps_max=1"),
+        ("bounds", "grid.hbar=0.5"),
         ("count", "tolerances.boundary_tol=-1"),
         ("flow", "flow.t=NaN"),
         ("flow", "flow.dt_max=NaN"),
@@ -396,6 +397,21 @@ class TestCliCommands:
         assert code == 2
         assert "config error" in err.getvalue()
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("header", [
+        '{"N": 64}',
+        "[1, 2]",
+        # a grid off the origin or at another hbar
+        '{"N": 64, "x_min": -3.0, "dx": 0.1875, "hbar": 0.15915494309189535}',
+        '{"N": 64, "x_min": -6.0, "dx": 0.1875, "hbar": 1.0}',
+    ], ids=["missing-key", "not-an-object", "off-centre", "other-hbar"])
+    def test_malformed_window_header_exits_2(self, tmp_path, header, capsys):
+        path = tmp_path / "a.bin"
+        path.write_bytes(header.encode("ascii") + b"\n" + bytes(16 * 64))
+        code = run_cli(["bounds", "--out", str(tmp_path), "--override", "grid.N=64",
+                        "--override", f"window.file={json.dumps(str(path))}"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_covariance_on_a_malformed_scenario_grid_exits_2(self, tmp_path, capsys):
         # with no covariance grids set, the scenario grid is the one compared

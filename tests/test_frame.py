@@ -709,6 +709,29 @@ class TestNegativeControl:
         assert bounds.is_frame
         assert bounds.A == pytest.approx(3.6530608885, rel=1e-10)
 
+    def test_deformed_odd_window_is_a_frame_only_of_the_torus(self):
+        # M = diag(4, 1/4), E = 1.3 moves 13 points; P = N/L = 16 throughout.
+        # In the plane the deformed odd system is still no frame: its A' on
+        # the torus (3.91e-4, 1.018e-4, 2.57e-5 at t = pi/4) falls about
+        # fourfold per doubling of L, while the Gaussian's bounds settle
+        H = QuadraticHamiltonian(np.diag([4.0, 0.25]))
+        ts = [math.pi / 8, math.pi / 4]
+        odd, gauss = [], []
+        for N, L in [(128, 8.0), (256, 16.0), (512, 32.0)]:
+            g = GridSpec.centered(N=N, L=L)
+            P = torus_lattice(g, 1.0, 0.5)
+            for window, reports in ((seam_free_odd_window(g), odd),
+                                    (gaussian_window(1j, g), gauss)):
+                sweep = ellipsoid_sweep(GaborSystem(window, P, g), [Ellipsoid(H, 1.3)], ts)
+                reports.append([rep.bounds_after for _, rep in sweep])
+        odd_A = [after[1].A for after in odd]
+        assert all(after[1].is_frame for after in odd)
+        assert odd_A[0] >= 3.0 * odd_A[1] and odd_A[1] >= 3.0 * odd_A[2]
+        for k in range(2):
+            A = [after[k].A for after in gauss]
+            assert max(A) - min(A) <= 1e-11 * min(A)
+            assert gauss[2][k].B == pytest.approx(gauss[1][k].B, rel=1e-10)
+
 
 class TestTorusShears:
     """The lifts of diag(1, 0), a chirp, and of diag(0, 1), a Fourier

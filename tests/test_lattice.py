@@ -582,9 +582,9 @@ class TestMaxSafeEpsilon:
             assert np.all(on_surface[captured])
 
 
-def deform(P, ell, t, boundary_tol=1e-9, **kw):
+def deform(P, ell, t, boundary_tol=1e-9):
     """Find the enclosed set, then move it: the sweep's two steps."""
-    return deform_point_set(P, enclosed_indices(P, ell, boundary_tol), ell, t, **kw)
+    return deform_point_set(P, enclosed_indices(P, ell, boundary_tol), ell, t)
 
 
 class TestDeformPointSet:
@@ -639,10 +639,11 @@ class TestDeformPointSet:
 
     def test_collision_warns_and_flags(self, unit_circle):
         # (1,0) on the surface rotates onto the fixed exterior point near (0,-1)
-        P = PointSet(np.array([[1.0, 0.0], [0.0, -1.0 - 1e-7]]), delta=1.0)
+        # within the collision tolerance 1e-9
+        P = PointSet(np.array([[1.0, 0.0], [0.0, -1.0 - 1e-10]]), delta=1.0)
         with pytest.warns(UserWarning, match="separation lowered"):
-            out = deform(P, unit_circle, math.pi / 2.0, boundary_tol=1e-12, collision_tol=1e-6)
-        assert out.delta <= 2e-7
+            out = deform(P, unit_circle, math.pi / 2.0, boundary_tol=1e-12)
+        assert out.delta <= 2e-10
 
 
 class TestCountInEllipsoid:

@@ -159,7 +159,7 @@ class TestQuantizeQuadratic:
             ref = 0.5 * (ref + ref.conj().T)
         assert np.array_equal(quantize_quadratic(M, g), ref)
 
-    # 10.3 is not dyadic, so x_min + k dx need not be exactly odd in k
+    # 10.3 is not dyadic; x is exactly odd on every L all the same
     @pytest.mark.parametrize("L", [8.0, 10.3])
     @pytest.mark.parametrize("N", [16, 64, 1024])
     @QUANTIZED_MATRICES
@@ -195,11 +195,6 @@ class TestQuantizeQuadratic:
         C = X @ P - P @ X
         phi = gaussian_window(1j, SMALL).values
         assert np.max(np.abs(C @ phi - 1j * SMALL.hbar * phi)) <= 1e-10
-
-    def test_rejects_off_center_grid(self):
-        g = GridSpec(N=32, x_min=-3.0, dx=0.25, hbar=SMALL.hbar)
-        with pytest.raises(ValueError, match="centered"):
-            quantize_quadratic(np.eye(2), g)
 
 
 class TestMetaplecticLift:

@@ -36,7 +36,18 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="power of two"):
             GridSpec.centered(N=100)
         with pytest.raises(ValueError):
-            GridSpec(N=64, x_min=0.0, dx=-0.1, hbar=1.0)
+            GridSpec(N=64, dx=-0.1)
+
+    # x_min + j dx, as the grid was once built, is not exactly odd on these
+    # L, whose dx is not dyadic
+    @pytest.mark.parametrize("L", [10.3, 12.7])
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_grid_and_gaussian_are_exactly_parity_symmetric(self, N, L):
+        g = GridSpec.centered(N=N, L=L)
+        x = g.xs()
+        assert np.array_equal(x[1:], -x[:0:-1])
+        phi = gaussian_window(0.6 + 1.5j, g).values
+        assert np.array_equal(phi, phi[-np.arange(N) % N])
 
     def test_state_finite(self):
         with pytest.raises(ValueError, match="finite"):
