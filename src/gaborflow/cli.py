@@ -80,7 +80,7 @@ def cmd_deform(args) -> int:
     g = cfg.build_grid()
     sys_ = GaborSystem(cfg.build_window(g), cfg.build_lattice(), g)
     ells = [cfg.build_ellipsoid(E) for E in cfg.ellipsoid.E]
-    sweep = ellipsoid_sweep(sys_, ells, cfg.deformation.t_values, cfg.tolerances.boundary_tol)
+    sweep = ellipsoid_sweep(sys_, ells, cfg.deformation.t_values)
     rows = [report.csv_row() for _, report in sweep]
     _write_csv(_outdir(args) / "deform.csv", REPORT_COLUMNS, rows, not args.no_timestamp)
     print(f"wrote {len(rows)} deformation rows")
@@ -105,7 +105,7 @@ def cmd_flow(args) -> int:
 def cmd_epsilon(args) -> int:
     cfg = _load_config(args)
     ell = cfg.build_ellipsoid()
-    eps = max_safe_epsilon(cfg.build_lattice(), ell, cfg.tolerances.boundary_tol)
+    eps = max_safe_epsilon(cfg.build_lattice(), ell)
     print(_fmt(eps))
     if args.out:
         _write_csv(_outdir(args) / "epsilon.csv", ("E", "eps_star"),
@@ -119,7 +119,7 @@ def cmd_count(args) -> int:
     rows = []
     for E in cfg.ellipsoid.E:
         # the enclosed set, surface included: the points that deform moves
-        enclosed = enclosed_indices(P, cfg.build_ellipsoid(E), cfg.tolerances.boundary_tol)
+        enclosed = enclosed_indices(P, cfg.build_ellipsoid(E))
         rows.append((E, len(enclosed)))
     _write_csv(_outdir(args) / "count.csv", ("E", "count"), rows, not args.no_timestamp)
     for E, c in rows:

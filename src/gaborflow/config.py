@@ -1,4 +1,4 @@
-"""Scenario configuration: one table of 17 fields, each converted and checked
+"""Scenario configuration: one table of 16 fields, each converted and checked
 when a file or an override sets it, whichever subcommand then runs.
 
 Unknown sections and keys are rejected, and a value of the wrong kind fails
@@ -55,13 +55,6 @@ def _positive(value) -> float:
     x = _real(value)
     if x <= 0.0:
         raise ValueError(f"expected a positive number, got {value!r}")
-    return x
-
-
-def _non_negative(value) -> float:
-    x = _real(value)
-    if x < 0.0:
-        raise ValueError(f"expected a number >= 0, got {value!r}")
     return x
 
 
@@ -163,7 +156,6 @@ _FIELDS = {
                   [[0.0, 1.0, 0.0], [math.pi / 2.0, 1.0, 0.0], [0.7, 0.5, 0.5]]),
         "grids": (_optional(_list(_grid_size)), None),
     },
-    "tolerances": {"boundary_tol": (_non_negative, 1e-9)},
 }
 
 

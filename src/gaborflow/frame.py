@@ -21,7 +21,6 @@ from functools import cache, partial
 import numpy as np
 
 from .lattice import (
-    BOUNDARY_TOL_DEFAULT,
     Ellipsoid,
     PointSet,
     deform_point_set,
@@ -34,6 +33,7 @@ from .quantum import (
     GridSpec,
     State,
     _fold,
+    _past_edge,
     _phase_points,
     apply_heisenberg,
     heisenberg_factors,
@@ -81,13 +81,13 @@ class GaborSystem:
         w = norm(self.window, self.grid)
         if abs(w - 1.0) > WINDOW_NORM_TOL:
             raise ValueError(f"window must have unit norm within {WINDOW_NORM_TOL}, got {w!r}")
-        if len(self.points) and self._rows is None:  # the sweep's hooked twins repeat no warning
-            qmax = float(np.max(np.abs(self.points.points[:, 0])))
-            if qmax > self.grid.L / 2.0:
+        if self._rows is None:  # the sweep's hooked twins repeat no warning
+            qmax = _past_edge(self.points.points[:, 0], self.grid)
+            if qmax is not None:
                 warnings.warn(
-                    f"lattice reaches |q|={qmax:g} beyond L/2={self.grid.L / 2.0:g}: "
+                    f"lattice reaches |q|={qmax!r} beyond L/2={self.grid.L / 2.0:g}: "
                     "windows wrap around the box",
-                    stacklevel=2,
+                    stacklevel=3,  # past the dataclass __init__
                 )
 
 
@@ -317,10 +317,7 @@ def _make_report(bounds0: FrameBounds, bounds1: FrameBounds, moved: int, eps: fl
 
 
 def ellipsoid_sweep(
-    sys: GaborSystem,
-    ells,
-    ts,
-    boundary_tol: float = BOUNDARY_TOL_DEFAULT,
+    sys: GaborSystem, ells, ts
 ) -> Iterator[tuple[GaborSystem, DeformationReport]]:
     """Deform the window by the lift and only the enclosed points by the flow,
     for every ellipsoid in ``ells``, all of one M (``ValueError`` otherwise),
@@ -354,8 +351,8 @@ def ellipsoid_sweep(
     fixed = cache(partial(heisenberg_factors, sys.points.points, g))
     bounds0 = frame_bounds(GaborSystem(sys.window, sys.points, g,
                                        lambda s: apply_heisenberg(fixed(), s.window.values, g)))
-    eps = [max_safe_epsilon(sys.points, ell, boundary_tol) for ell in ells]
-    insides = [enclosed_indices(sys.points, ell, boundary_tol) for ell in ells]
+    eps = [max_safe_epsilon(sys.points, ell) for ell in ells]
+    insides = [enclosed_indices(sys.points, ell) for ell in ells]
     ends = np.cumsum([len(inside) for inside in insides])[:-1]
     workspace = np.empty((len(sys.points), g.N), dtype=complex)
     done, k = {}, 0
@@ -392,12 +389,9 @@ def _gathered_rows(bank, inside, at, out: np.ndarray, sys: GaborSystem) -> np.nd
 
 
 def ellipsoid_deform(
-    sys: GaborSystem,
-    ell: Ellipsoid,
-    t: float,
-    boundary_tol: float = BOUNDARY_TOL_DEFAULT,
+    sys: GaborSystem, ell: Ellipsoid, t: float
 ) -> tuple[GaborSystem, DeformationReport]:
     """One (E, t) step of ``ellipsoid_sweep``: the deformed system and its
     report."""
-    return next(ellipsoid_sweep(sys, [ell], [t], boundary_tol))
+    return next(ellipsoid_sweep(sys, [ell], [t]))
 

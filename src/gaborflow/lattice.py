@@ -34,7 +34,9 @@ __all__ = [
     "deform_point_set",
 ]
 
-BOUNDARY_TOL_DEFAULT = 1e-9
+# the surface band |H(z) - E| <= BOUNDARY_TOL*E: lattice coordinates held as
+# doubles make exact incidence fragile
+BOUNDARY_TOL = 1e-9
 EPS_MAX = 1.0
 COLLISION_TOL = 1e-9
 ON_SURFACE_REL_TOL = 1e-10
@@ -201,36 +203,27 @@ def separable_lattice(alpha: float, beta: float, box: Box) -> PointSet:
         kmin = math.ceil((lo - slack) / spacing)
         kmax = math.floor((hi + slack) / spacing)
         axes.append(np.arange(kmin, kmax + 1, dtype=float) * spacing)
-    if any(a.size == 0 for a in axes):
-        pts = np.empty((0, 2 * n))
-    else:
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
     if pts.shape[0] == 0:
         warnings.warn("separable_lattice: box contains no lattice points", stacklevel=2)
-        return PointSet._trusted(np.empty((0, 2 * n)), min(alpha, beta))
     return PointSet(pts, min(alpha, beta))
 
 
-def _surface_band(P: PointSet, ell: Ellipsoid, boundary_tol: float):
+def _surface_band(P: PointSet, ell: Ellipsoid):
     """H at the points of P and the mask of those on the surface,
-    |H(z) - E| <= boundary_tol*E.  The tolerance is relative to E because
-    lattice coordinates held as doubles make exact incidence fragile."""
+    |H(z) - E| <= BOUNDARY_TOL*E, a band relative to E."""
     if P.dim != ell.dim:
         raise ValueError(f"dimension mismatch: points n={P.dim}, ellipsoid n={ell.dim}")
-    if not (boundary_tol >= 0.0):
-        raise ValueError("boundary_tol must be >= 0")
     vals = ell.H.values(P.points) if len(P) else np.empty(0)
-    return vals, np.abs(vals - ell.E) <= boundary_tol * ell.E
+    return vals, np.abs(vals - ell.E) <= BOUNDARY_TOL * ell.E
 
 
-def enclosed_indices(
-    P: PointSet, ell: Ellipsoid, boundary_tol: float = BOUNDARY_TOL_DEFAULT
-) -> np.ndarray:
+def enclosed_indices(P: PointSet, ell: Ellipsoid) -> np.ndarray:
     """Ascending indices of the enclosed set of P: the points on the surface
-    and those inside it, H(z) < E*(1 - boundary_tol)."""
-    vals, on = _surface_band(P, ell, boundary_tol)
-    return np.nonzero(on | (vals < ell.E - boundary_tol * ell.E))[0]
+    and those inside it, H(z) < E*(1 - BOUNDARY_TOL)."""
+    vals, on = _surface_band(P, ell)
+    return np.nonzero(on | (vals < ell.E - BOUNDARY_TOL * ell.E))[0]
 
 
 def _secular_root(psi, lo, hi):
@@ -419,21 +412,15 @@ def _distance_and_point(y, w, Q) -> tuple[float, np.ndarray]:
     return math.sqrt(dd), np.array(proj)
 
 
-def off_surface_distances(
-    P: PointSet, ell: Ellipsoid, boundary_tol: float = BOUNDARY_TOL_DEFAULT
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the points of P off the surface, |H(z) - E| > boundary_tol*E,
+def off_surface_distances(P: PointSet, ell: Ellipsoid) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the points of P off the surface, |H(z) - E| > BOUNDARY_TOL*E,
     in ascending order, and their distances to the surface."""
-    idx = np.nonzero(~_surface_band(P, ell, boundary_tol)[1])[0]
+    idx = np.nonzero(~_surface_band(P, ell)[1])[0]
     # rows as lists of floats take the projection's fast path
     return idx, np.array([distance_to_ellipsoid(z, ell)[0] for z in P.points[idx].tolist()])
 
 
-def max_safe_epsilon(
-    P: PointSet,
-    ell: Ellipsoid,
-    boundary_tol: float = BOUNDARY_TOL_DEFAULT,
-) -> float:
+def max_safe_epsilon(P: PointSet, ell: Ellipsoid) -> float:
     """Largest thickening radius of the surface that captures no new points.
 
     Returns min over off-surface points of their distance to the surface; any
@@ -457,13 +444,10 @@ def max_safe_epsilon(
       lying in the convex region
 
     A point whose lower bound exceeds the smallest upper bound, with a slack
-    of 1e-9 times 1 + max(r, R_out) for the rounding of the bounds and of
-    the projection, cannot attain the minimum.  The slack exceeds the lower
-    bounds of the points within ``ON_SURFACE_REL_TOL`` in H (at most about
-    5e-11 R_out), which the projection puts at distance 0, so those are
-    always projected.
+    of 1e-9 times 1 + max(r, R_out), cannot attain the minimum.  The slack
+    covers the rounding of the bounds and of the projection.
     """
-    vals, on = _surface_band(P, ell, boundary_tol)
+    vals, on = _surface_band(P, ell)
     off = np.nonzero(~on)[0]
     if off.size == 0:
         return EPS_MAX

@@ -35,7 +35,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .quantum import (_SQRT_HALF, GridSpec, State, _fold, apply_heisenberg, gaussian_parameter,
                       gaussian_window, heisenberg_factors)
-from .symplectic import QuadraticHamiltonian, SymplecticMatrix, flow_matrix
+from .symplectic import SYMMETRY_TOL, QuadraticHamiltonian, SymplecticMatrix, flow_matrix
 
 __all__ = [
     "Propagator",
@@ -68,7 +68,7 @@ def _uncoupled(M, g: GridSpec) -> tuple[np.ndarray, np.ndarray | None]:
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2):
         raise ValueError(f"M must be 2x2, got shape {M.shape}")
-    if not (abs(M[0, 1] - M[1, 0]) <= 1e-12):
+    if not (abs(M[0, 1] - M[1, 0]) <= SYMMETRY_TOL):
         raise ValueError("M must be symmetric")
     m12, m22 = M[0, 1], M[1, 1]
     if m12 == 0.0:

@@ -153,7 +153,8 @@ def heisenberg_factors(points, g: GridSpec) -> tuple:
     They depend on the points and the grid, not on the window, so a sweep of
     windows over one point set builds them once (``apply_heisenberg`` does
     the rest).  Each row is built alone, bitwise as in any point set holding
-    z_j.  One wrap-around warning is emitted when some |q_j| > (L/2)(1 + 1e-12).
+    z_j.  One wrap-around warning is emitted when some q_j lies past the box
+    edge (``_past_edge``).
     """
     factors = _ramp_and_phase(_phase_points(points, g), g)
     for f in factors:
@@ -169,13 +170,22 @@ def _phase_points(points, g: GridSpec) -> np.ndarray:
         raise ValueError(f"heisenberg requires 2-D phase points (n=1), got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("phase point must be finite")
-    qmax = float(np.max(np.abs(z[:, 0]), initial=0.0))
-    if qmax > (g.L / 2.0) * (1.0 + 1e-12):
+    qmax = _past_edge(z[:, 0], g)
+    if qmax is not None:
         warnings.warn(
-            f"translation |q|={qmax:g} > L/2={g.L / 2.0:g}: wrap-around regime",
+            f"translation |q|={qmax!r} > L/2={g.L / 2.0:g}: wrap-around regime",
             stacklevel=4,
         )
     return z
+
+
+def _past_edge(q, g: GridSpec) -> float | None:
+    """The largest |q| of the positions q if it lies past the box edge L/2,
+    where translated windows wrap around the periodic grid; None otherwise.
+    |q| within 1e-12 relative of L/2 is on the edge, as at the seam of a
+    torus-covering box."""
+    qmax = float(np.max(np.abs(q), initial=0.0))
+    return qmax if qmax > (g.L / 2.0) * (1.0 + 1e-12) else None
 
 
 def _ramp_and_phase(z: np.ndarray, g: GridSpec) -> tuple:
@@ -243,13 +253,16 @@ def save_state(path, psi: State, g: GridSpec) -> None:
 def load_state(path) -> tuple[State, GridSpec]:
     """The state and grid of a ``save_state`` file.  A header that is not an
     object with the keys N, x_min, dx and hbar, or whose grid is not centered
-    at hbar = 1/(2 pi), raises ``ValueError``."""
+    at hbar = 1/(2 pi), or whose N is not an integer, raises ``ValueError``."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii")
         raw = fh.read()
     meta = json.loads(header)
     try:
-        g = GridSpec(N=int(meta["N"]), dx=float(meta["dx"]))
+        N = float(meta["N"])
+        if not N.is_integer():
+            raise ValueError(f"state header N={meta['N']!r} is not an integer")
+        g = GridSpec(N=int(N), dx=float(meta["dx"]))
         x_min, hbar = float(meta["x_min"]), float(meta["hbar"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"state header {header.strip()!r} is not an object of the "

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import shutil
@@ -404,10 +405,15 @@ class TestCliCommands:
         # a grid off the origin or at another hbar
         '{"N": 64, "x_min": -3.0, "dx": 0.1875, "hbar": 0.15915494309189535}',
         '{"N": 64, "x_min": -6.0, "dx": 0.1875, "hbar": 1.0}',
-    ], ids=["missing-key", "not-an-object", "off-centre", "other-hbar"])
+        # a fractional N is rejected, not truncated to 64
+        '{"N": 64.9, "x_min": -6.0, "dx": 0.1875, "hbar": 0.15915494309189535}',
+    ], ids=["missing-key", "not-an-object", "off-centre", "other-hbar", "fractional-N"])
     def test_malformed_window_header_exits_2(self, tmp_path, header, capsys):
+        # a Gaussian payload of N = 64 samples, which a grid of that N would load
+        x = 0.1875 * (np.arange(64) - 32)
+        payload = np.exp(-math.pi * x * x).astype("<c16").tobytes()
         path = tmp_path / "a.bin"
-        path.write_bytes(header.encode("ascii") + b"\n" + bytes(16 * 64))
+        path.write_bytes(header.encode("ascii") + b"\n" + payload)
         code = run_cli(["bounds", "--out", str(tmp_path), "--override", "grid.N=64",
                         "--override", f"window.file={json.dumps(str(path))}"])
         assert code == 2
@@ -480,6 +486,18 @@ class TestCliCommands:
         out = tmp_path / "out"
         assert run_cli(["count", "--config", str(small_config), "--out", str(out)]) == 0
         assert (out / "count.csv").read_text().startswith("# generated ")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_table_lists_every_field():
+    # a field added to or removed from the config leaves no stale README row;
+    # the table is the one headed "| field | kind | default |"
+    lines = README.read_text().splitlines()
+    start = lines.index("| field | kind | default |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("| `"), lines[start:])
+    assert sorted(row.split("`")[1] for row in rows) == sorted(FIELDS)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

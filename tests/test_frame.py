@@ -64,7 +64,8 @@ class TestGaborSystem:
         with pytest.warns(UserWarning, match="wrap"):
             GaborSystem(phi, P, g)
 
-    @pytest.mark.parametrize("q, warns", [(2.0, False), (2.0 * (1.0 + 1e-9), True)])
+    @pytest.mark.parametrize("q, warns", [
+        (2.0, False), (2.0 * (1.0 + 1e-13), False), (2.0 * (1.0 + 1e-9), True)])
     def test_wrap_around_warns_only_past_the_box_edge(self, q, warns):
         # |q| = L/2 is the edge of a torus-covering box (torus_sweep.json has
         # points at q = -L/2); the system and its translations warn alike

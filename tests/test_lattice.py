@@ -134,7 +134,7 @@ class TestSeparableLattice:
 class TestClassifyPoints:
     def test_radius_1p5_circle(self, z2_lattice):
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 1.125)
-        enclosed = enclosed_indices(z2_lattice, ell, 1e-9)
+        enclosed = enclosed_indices(z2_lattice, ell)
         # brute-force oracle over all 49 candidates
         expect = {
             tuple(z) for z in z2_lattice.points if 0.5 * (z[0] ** 2 + z[1] ** 2) <= 1.125
@@ -145,14 +145,14 @@ class TestClassifyPoints:
 
     def test_radius_2_circle_gauss_count(self, z2_lattice):
         ell = Ellipsoid(QuadraticHamiltonian(np.eye(2)), 2.0)
-        assert len(enclosed_indices(z2_lattice, ell, 1e-9)) == 13
+        assert len(enclosed_indices(z2_lattice, ell)) == 13
 
     def test_unit_circle_split(self, z2_lattice, unit_circle):
         # the center inside and four points on the surface
         on = {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
-        idx = enclosed_indices(z2_lattice, unit_circle, 1e-9)
+        idx = enclosed_indices(z2_lattice, unit_circle)
         assert {tuple(z) for z in z2_lattice.points[idx]} == on | {(0.0, 0.0)}
-        idx, _ = off_surface_distances(z2_lattice, unit_circle, 1e-9)
+        idx, _ = off_surface_distances(z2_lattice, unit_circle)
         assert {tuple(z) for z in np.delete(z2_lattice.points, idx, axis=0)} == on
 
     def test_partition_is_exact(self, z2_lattice, unit_circle):
@@ -162,19 +162,12 @@ class TestClassifyPoints:
             H = QuadraticHamiltonian(np.diag(rng.uniform(0.3, 3.0, 2)))
             ells.append(Ellipsoid(H, rng.uniform(0.2, 4.0)))
         for ell in ells:
-            idx = enclosed_indices(z2_lattice, ell, 1e-9)
+            idx = enclosed_indices(z2_lattice, ell)
             # ascending and unique, and exactly the brute-force enclosed set
             assert np.all(np.diff(idx) > 0)
             brute = [i for i, z in enumerate(z2_lattice.points)
                      if ell.H.value(z) <= ell.E * (1.0 + 1e-9)]
             assert idx.tolist() == brute
-
-    def test_rejects_nan_boundary_tol(self, z2_lattice, unit_circle):
-        # a NaN band would put every point off the surface and none in the
-        # enclosed set
-        for find in (enclosed_indices, off_surface_distances):
-            with pytest.raises(ValueError, match="boundary_tol"):
-                find(z2_lattice, unit_circle, math.nan)
 
 
 class TestDistanceToEllipsoid:
@@ -539,13 +532,11 @@ class TestMaxSafeEpsilon:
         coords=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
                         min_size=1, max_size=30),
         radial=st.lists(st.floats(0.0, 2.0), max_size=4),
-        boundary_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
     )
     # the round circle: every axis point ties with its quarter turns
     @example(mu=(1.0, 1.0), theta=0.0, E=0.5, coords=[(1.0, 1.0), (2.0, 0.0)],
-             radial=[0.5, 1.0, 2.0], boundary_tol=0.0)
-    def test_equals_exhaustive_minimum_bitwise(self, mu, theta, E, coords, radial,
-                                               boundary_tol):
+             radial=[0.5, 1.0, 2.0])
+    def test_equals_exhaustive_minimum_bitwise(self, mu, theta, E, coords, radial):
         R = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         M = R @ np.diag(mu) @ R.T
         M[1, 0] = M[0, 1]
@@ -563,9 +554,9 @@ class TestMaxSafeEpsilon:
             if all(np.linalg.norm(z - y) >= 1e-6 for y in pts):
                 pts.append(z)
         P = PointSet(np.array(pts), delta=1e-6)
-        _, d = off_surface_distances(P, ell, boundary_tol)
+        _, d = off_surface_distances(P, ell)
         expect = float(np.min(d)) if d.size else 1.0
-        assert max_safe_epsilon(P, ell, boundary_tol) == expect
+        assert max_safe_epsilon(P, ell) == expect
 
     def test_thickening_property(self, z2_lattice, unit_circle):
         eps_star = max_safe_epsilon(z2_lattice, unit_circle)
@@ -582,9 +573,9 @@ class TestMaxSafeEpsilon:
             assert np.all(on_surface[captured])
 
 
-def deform(P, ell, t, boundary_tol=1e-9):
+def deform(P, ell, t):
     """Find the enclosed set, then move it: the sweep's two steps."""
-    return deform_point_set(P, enclosed_indices(P, ell, boundary_tol), ell, t)
+    return deform_point_set(P, enclosed_indices(P, ell), ell, t)
 
 
 class TestDeformPointSet:
@@ -638,11 +629,13 @@ class TestDeformPointSet:
         assert np.all(np.abs(after - 0.5) <= 1e-9 * 0.5)
 
     def test_collision_warns_and_flags(self, unit_circle):
-        # (1,0) on the surface rotates onto the fixed exterior point near (0,-1)
-        # within the collision tolerance 1e-9
-        P = PointSet(np.array([[1.0, 0.0], [0.0, -1.0 - 1e-10]]), delta=1.0)
+        # A = (1 + 0.45e-9, 0), within the surface band, rotates to within
+        # 1e-10 of the fixed point B = (0, -1 - 0.55e-9) just outside the band,
+        # inside the collision tolerance 1e-9
+        P = PointSet(np.array([[1.0 + 0.45e-9, 0.0], [0.0, -1.0 - 0.55e-9]]), delta=1.0)
+        assert enclosed_indices(P, unit_circle).tolist() == [0]
         with pytest.warns(UserWarning, match="separation lowered"):
-            out = deform(P, unit_circle, math.pi / 2.0, boundary_tol=1e-12)
+            out = deform(P, unit_circle, math.pi / 2.0)
         assert out.delta <= 2e-10
 
 
