@@ -104,12 +104,13 @@ def cmd_flow(args) -> int:
 
 def cmd_epsilon(args) -> int:
     cfg = _load_config(args)
-    ell = cfg.build_ellipsoid()
-    eps = max_safe_epsilon(cfg.build_lattice(), ell)
-    print(_fmt(eps))
+    ells = [cfg.build_ellipsoid(E) for E in cfg.ellipsoid.E]
+    P = cfg.build_lattice()
+    rows = [(ell.E, max_safe_epsilon(P, ell)) for ell in ells]
+    for _, eps in rows:
+        print(_fmt(eps))
     if args.out:
-        _write_csv(_outdir(args) / "epsilon.csv", ("E", "eps_star"),
-                   [(ell.E, eps)], not args.no_timestamp)
+        _write_csv(_outdir(args) / "epsilon.csv", ("E", "eps_star"), rows, not args.no_timestamp)
     return EXIT_OK
 
 

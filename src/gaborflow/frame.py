@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
-from functools import cache, partial
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +61,11 @@ REPORT_COLUMNS = ("t", "E", "eps", "moved", "A", "B", "A_prime", "B_prime", "rel
 
 @dataclass(frozen=True, eq=False)
 class GaborSystem:
-    """A unit-norm window, a finite 2-D phase-space point set, and a grid.
-
-    ``_rows`` is ``ellipsoid_sweep``'s private hook: when set, ``analysis_matrix(sys)`` takes
-    the rows T(z_j) window from ``sys._rows(sys)``, gathered from rows the sweep shares.
-    """
+    """A unit-norm window, a finite 2-D phase-space point set, and a grid."""
 
     window: State
     points: PointSet
     grid: GridSpec
-    _rows: Callable[["GaborSystem"], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.points.dim != 1:
@@ -81,14 +75,13 @@ class GaborSystem:
         w = norm(self.window, self.grid)
         if abs(w - 1.0) > WINDOW_NORM_TOL:
             raise ValueError(f"window must have unit norm within {WINDOW_NORM_TOL}, got {w!r}")
-        if self._rows is None:  # the sweep's hooked twins repeat no warning
-            qmax = _past_edge(self.points.points[:, 0], self.grid)
-            if qmax is not None:
-                warnings.warn(
-                    f"lattice reaches |q|={qmax!r} beyond L/2={self.grid.L / 2.0:g}: "
-                    "windows wrap around the box",
-                    stacklevel=3,  # past the dataclass __init__
-                )
+        qmax = _past_edge(self.points.points[:, 0], self.grid)
+        if qmax is not None:
+            warnings.warn(
+                f"lattice reaches |q|={qmax!r} beyond L/2={self.grid.L / 2.0:g}: "
+                "windows wrap around the box",
+                stacklevel=3,  # past the dataclass __init__
+            )
 
 
 @dataclass(frozen=True)
@@ -124,15 +117,17 @@ def analysis_matrix(sys: GaborSystem) -> np.ndarray:
     frame bounds of the dx-weighted inequality; rows have unit Euclidean norm
     because the translations are unitary.
     """
-    if len(sys.points) == 0:
+    return _conj_scaled(apply_heisenberg(heisenberg_factors(sys.points.points, sys.grid),
+                                         sys.window.values, sys.grid), sys.grid)
+
+
+def _conj_scaled(rows: np.ndarray, g: GridSpec) -> np.ndarray:
+    """The rows T(z_j) window made analysis rows in place: conjugated, times
+    sqrt(dx)."""
+    if len(rows) == 0:
         raise ValueError("analysis matrix of an empty point set")
-    if sys._rows is None:
-        D = apply_heisenberg(heisenberg_factors(sys.points.points, sys.grid), sys.window.values,
-                             sys.grid)
-    else:
-        D = sys._rows(sys)
-    np.conj(D, out=D)
-    return np.multiply(D, np.sqrt(sys.grid.dx), out=D)
+    np.conj(rows, out=rows)
+    return np.multiply(rows, np.sqrt(g.dx), out=rows)
 
 
 def frame_operator(sys: GaborSystem) -> np.ndarray:
@@ -163,13 +158,17 @@ def frame_bounds(sys: GaborSystem) -> FrameBounds:
     Nyquist momentum.  Such a system is solved as two blocks of about half
     the size (``_parity_split``); the split is measured on D and used only
     when it provably moves neither bound by more than ``PARITY_SPLIT_TOL``
-    relative.  Any other system gets the one-block solve.
+    relative.  Any other system gets the one-block solve.  ``ellipsoid_sweep``
+    solves the analysis matrices it gathers from shared rows the same way.
     """
-    D = analysis_matrix(sys)
-    bounds = _parity_split(D, sys.points.points)
-    if bounds is None:
-        bounds = FrameBounds.from_extremes(*_extremes(D))
-    return bounds
+    return _bounds(analysis_matrix(sys), sys.points.points)
+
+
+def _bounds(D: np.ndarray, z: np.ndarray) -> FrameBounds:
+    """Frame bounds of the analysis matrix D of the points z: the parity
+    split where it is safe, the one-block solve otherwise."""
+    bounds = _parity_split(D, z)
+    return FrameBounds.from_extremes(*_extremes(D)) if bounds is None else bounds
 
 
 def _extremes(D: np.ndarray) -> tuple[float, float]:
@@ -332,14 +331,15 @@ def ellipsoid_sweep(
     drifts make up the report.
 
     The lifts run first, so that no (m, N) array is held while a cold
-    eigendecomposition runs.  The undeformed analysis builds the points'
-    ``heisenberg_factors``, which the sweep keeps.  Then it solves t-major,
-    yielding each report once those before it are solved.  At each t != 0
-    the first deformed analysis builds a row bank, freed at the next t: the
-    kept factors' rows and one row per distinct moved point over all
-    energies, from which each energy's rows are gathered into one reused
-    workspace.  At t = 0 the deformed system is the undeformed one (S_0 = I,
-    U_0 = 1 exactly), so its report reuses the undeformed bounds.
+    eigendecomposition runs.  Then the points' ``heisenberg_factors`` are
+    built once and kept, and the undeformed bounds are solved from them.
+    The sweep then runs t-major, yielding each report once those before it
+    are solved.  At each t != 0 it builds the kept factors' rows under
+    U_t window and one row per distinct moved point over all energies,
+    freed before the next t's.  Each energy's analysis matrix is gathered
+    from them into one reused workspace and solved there (``_bounds``).  At
+    t = 0 the deformed system is the undeformed one (S_0 = I, U_0 = 1
+    exactly), so its report reuses the undeformed bounds.
     """
     ells, ts, g = list(ells), list(ts), sys.grid
     if not ells:
@@ -347,10 +347,9 @@ def ellipsoid_sweep(
     if not all(np.array_equal(ell.H.M, ells[0].H.M) for ell in ells):
         raise ValueError("the ellipsoids of a sweep must share one M")
     windows = {t: metaplectic_lift(ells[0].H.M, t, g).apply(sys.window) for t in dict.fromkeys(ts)}
-    # built once, within the first analysis, so that its time counts there
-    fixed = cache(partial(heisenberg_factors, sys.points.points, g))
-    bounds0 = frame_bounds(GaborSystem(sys.window, sys.points, g,
-                                       lambda s: apply_heisenberg(fixed(), s.window.values, g)))
+    fixed = heisenberg_factors(sys.points.points, g)
+    bounds0 = _bounds(_conj_scaled(apply_heisenberg(fixed, sys.window.values, g), g),
+                      sys.points.points)
     eps = [max_safe_epsilon(sys.points, ell) for ell in ells]
     insides = [enclosed_indices(sys.points, ell) for ell in ells]
     ends = np.cumsum([len(inside) for inside in insides])[:-1]
@@ -361,31 +360,22 @@ def ellipsoid_sweep(
         # one row per moved point to the bit: energies' coordinates can differ in the last bit
         moved = np.concatenate([P.points[inside] for P, inside in zip(deformed, insides)])
         _, first, where = np.unique(moved.view("V16"), return_index=True, return_inverse=True)
-        bank = cache(partial(_row_bank, fixed, windows[t].values, moved[first], g))
+        if t != 0.0:
+            moved_rows = apply_heisenberg(heisenberg_factors(moved[first], g), windows[t].values, g)
+            fixed_rows = apply_heisenberg(fixed, windows[t].values, g)
         for e, (P, inside, at) in enumerate(zip(deformed, insides, np.split(where.ravel(), ends))):
-            bounds1 = bounds0 if t == 0.0 else frame_bounds(GaborSystem(
-                windows[t], P, g, partial(_gathered_rows, bank, inside, at, workspace)))
+            bounds1 = bounds0
+            if t != 0.0:
+                _phase_points(P.points, g)  # heisenberg_factors' checks of the deformed set
+                np.copyto(workspace, fixed_rows)
+                workspace[inside] = moved_rows[at]
+                bounds1 = _bounds(_conj_scaled(workspace, g), P.points)
             report = _make_report(bounds0, bounds1, len(inside), eps[e], t, ells[e].E)
             done[e * len(ts) + i] = GaborSystem(windows[t], P, g), report
+        moved_rows = fixed_rows = None  # freed before the next t's rows are built
         while k in done:
             yield done.pop(k)
             k += 1
-
-
-def _row_bank(fixed, psi: np.ndarray, moved: np.ndarray, g: GridSpec) -> tuple:
-    """Rows T(z_j) psi of the points ``moved``, then of the ``fixed`` factors,
-    whose (m, N) rows are built once the moved rows' factors are freed."""
-    return apply_heisenberg(heisenberg_factors(moved, g), psi, g), apply_heisenberg(fixed(), psi, g)
-
-
-def _gathered_rows(bank, inside, at, out: np.ndarray, sys: GaborSystem) -> np.ndarray:
-    """``sys``'s rows T(z_j) window in ``out``, ``bank()``'s fixed rows with its moved rows ``at``
-    in place of the enclosed ``inside``, after ``heisenberg_factors``' checks of the points."""
-    _phase_points(sys.points.points, sys.grid)
-    moved_rows, fixed_rows = bank()
-    np.copyto(out, fixed_rows)
-    out[inside] = moved_rows[at]
-    return out
 
 
 def ellipsoid_deform(

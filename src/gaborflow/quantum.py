@@ -141,7 +141,9 @@ def heisenberg(z, psi: State, g: GridSpec) -> State:
     unitary on the band-limited discrete model, so deformed phase-space
     points may land between grid nodes); the modulation and the symmetric
     half-phase are applied pointwise.  It warns of wrap-around as
-    ``heisenberg_factors`` does.
+    ``heisenberg_factors`` does.  It stays public: the tests hold batched
+    rows to it as the one-point reference, and ``perfbench/tracer.py``
+    traces it by name.
     """
     return State(apply_heisenberg(heisenberg_factors(np.reshape(z, (1, -1)), g), psi.values, g)[0])
 
@@ -252,18 +254,21 @@ def save_state(path, psi: State, g: GridSpec) -> None:
 
 def load_state(path) -> tuple[State, GridSpec]:
     """The state and grid of a ``save_state`` file.  A header that is not an
-    object with the keys N, x_min, dx and hbar, or whose grid is not centered
-    at hbar = 1/(2 pi), or whose N is not an integer, raises ``ValueError``."""
+    object of the JSON numbers N, x_min, dx and hbar (strings and booleans
+    are not numbers), or whose grid is not centered at hbar = 1/(2 pi), or
+    whose N is not an integer, raises ``ValueError``."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii")
         raw = fh.read()
     meta = json.loads(header)
     try:
-        N = float(meta["N"])
+        values = [meta[key] for key in ("N", "x_min", "dx", "hbar")]
+        if not all(type(v) in (int, float) for v in values):
+            raise TypeError("state header values must be JSON numbers")
+        N, x_min, dx, hbar = map(float, values)
         if not N.is_integer():
-            raise ValueError(f"state header N={meta['N']!r} is not an integer")
-        g = GridSpec(N=int(N), dx=float(meta["dx"]))
-        x_min, hbar = float(meta["x_min"]), float(meta["hbar"])
+            raise ValueError(f"state header N={values[0]!r} is not an integer")
+        g = GridSpec(N=int(N), dx=dx)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"state header {header.strip()!r} is not an object of the "
                          "numbers N, x_min, dx and hbar") from exc

@@ -179,6 +179,23 @@ class TestCliCommands:
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
 
+    def test_epsilon_writes_one_row_per_energy(self, small_config, tmp_path, capsys):
+        def run(energies):
+            out = tmp_path / "_".join(map(str, energies))
+            code = run_cli(["epsilon", "--config", str(small_config), "--out", str(out),
+                            "--no-timestamp", "--override", f"ellipsoid.E={json.dumps(energies)}"])
+            assert code == 0
+            lines = (out / "epsilon.csv").read_text().splitlines()
+            return lines, capsys.readouterr().out.splitlines()
+
+        lines, printed = run([0.5, 2.0])
+        singles = [run([E]) for E in (0.5, 2.0)]
+        assert all(len(one) == 2 and len(out) == 1 for one, out in singles)
+        # each energy's row and value as a run on that energy alone gives them, bitwise
+        assert lines == ["E,eps_star"] + [one[1] for one, _ in singles]
+        assert printed == [out[0] for _, out in singles]
+        assert lines[1] != lines[2]
+
     def test_deform_zero_row(self, small_config, tmp_path):
         out = tmp_path / "out"
         code = run_cli(["deform", "--config", str(small_config), "--out", str(out),
@@ -407,7 +424,10 @@ class TestCliCommands:
         '{"N": 64, "x_min": -6.0, "dx": 0.1875, "hbar": 1.0}',
         # a fractional N is rejected, not truncated to 64
         '{"N": 64.9, "x_min": -6.0, "dx": 0.1875, "hbar": 0.15915494309189535}',
-    ], ids=["missing-key", "not-an-object", "off-centre", "other-hbar", "fractional-N"])
+        # numbers are JSON numbers, not strings that parse as numbers
+        '{"N": "64", "x_min": "-6", "dx": "0.1875", "hbar": 0.15915494309189535}',
+    ], ids=["missing-key", "not-an-object", "off-centre", "other-hbar", "fractional-N",
+            "strings"])
     def test_malformed_window_header_exits_2(self, tmp_path, header, capsys):
         # a Gaussian payload of N = 64 samples, which a grid of that N would load
         x = 0.1875 * (np.arange(64) - 32)

