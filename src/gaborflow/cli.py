@@ -24,7 +24,7 @@ from .config import ConfigError, ScenarioConfig
 from .flow import FlowStepError, flow_trajectory
 from .frame import REPORT_COLUMNS, GaborSystem, ellipsoid_sweep, frame_bounds
 from .lattice import ProjectionError, enclosed_indices, max_safe_epsilon
-from .metaplectic import covariance_defect
+from .metaplectic import covariance_defect, metaplectic_lift
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,9 +136,10 @@ def cmd_covariance(args) -> int:
     header = ["t", "q", "p"] + [f"defect_N{g.N}" for g in grids]
     if len(grids) == 2:
         header.append("ratio")
+    lifts = [metaplectic_lift(M, 0.0, g) for g in grids]
     rows = []
     for t, q, p in cfg.covariance.cases:
-        defects = [covariance_defect(M, t, [q, p], g) for g in grids]
+        defects = [covariance_defect(U.at(t), [q, p]) for U in lifts]
         row = [t, q, p] + defects
         if len(grids) == 2:
             row.append(defects[1] / max(defects[0], 1e-300))

@@ -259,7 +259,10 @@ class ScenarioConfig:
                              self.ellipsoid.E[0] if E is None else E)
 
     def build_flow(self) -> TruncatedHamiltonian:
-        """The truncated Hamiltonian of the flow run.  The length of
+        """The truncated Hamiltonian of the flow run, at the one energy of
+        ``ellipsoid.E``: a list of several is a config error.  The length of
         ``flow.z0`` is left to the flow kernel, which checks it against the
         ellipsoid."""
+        if len(self.ellipsoid.E) > 1:
+            raise ConfigError(f"flow runs one energy, ellipsoid.E has {len(self.ellipsoid.E)}")
         return TruncatedHamiltonian(self.build_ellipsoid(), self.flow.eps)

@@ -330,9 +330,11 @@ def ellipsoid_sweep(
     exists for the set.  Frame bounds of both systems and their relative
     drifts make up the report.
 
-    The lifts run first, so that no (m, N) array is held while a cold
-    eigendecomposition runs.  Then the points' ``heisenberg_factors`` are
-    built once and kept, and the undeformed bounds are solved from them.
+    The window is lifted once per sweep, and the lift is moved to each
+    distinct t (``Propagator.at``).  That runs first, so that no (m, N)
+    array is held while the eigendecomposition runs.  Then the points'
+    ``heisenberg_factors`` are built once and kept, and the undeformed
+    bounds are solved from them.
     The sweep then runs t-major, yielding each report once those before it
     are solved.  At each t != 0 it builds the kept factors' rows under
     U_t window and one row per distinct moved point over all energies,
@@ -346,7 +348,8 @@ def ellipsoid_sweep(
         return
     if not all(np.array_equal(ell.H.M, ells[0].H.M) for ell in ells):
         raise ValueError("the ellipsoids of a sweep must share one M")
-    windows = {t: metaplectic_lift(ells[0].H.M, t, g).apply(sys.window) for t in dict.fromkeys(ts)}
+    lift = metaplectic_lift(ells[0].H.M, 0.0, g)
+    windows = {t: lift.at(t).apply(sys.window) for t in dict.fromkeys(ts)}
     fixed = heisenberg_factors(sys.points.points, g)
     bounds0 = _bounds(_conj_scaled(apply_heisenberg(fixed, sys.window.values, g), g),
                       sys.points.points)

@@ -26,9 +26,7 @@ serves as an independent oracle for the lift.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from collections import OrderedDict
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -180,43 +178,12 @@ def _factorize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-# Eigendecompositions are expensive (dense blocks); cache per (M, grid) under a
-# single-writer lock so concurrent readers never observe a partial entry.  The
-# cache is an LRU within a byte budget, so that sweeps over many M cannot grow
-# it without limit.  An entry holds the two blocks' real factors, about 4 N^2
-# bytes, under M or, for a coupled M, its uncoupled M'; the budget of about
-# 256 MiB holds fifteen N = 2048 entries.
-EIG_CACHE_BYTES = 4 * (16 * 2048**2 + 8 * 2048)
-_eig_cache: OrderedDict = OrderedDict()
-_eig_lock = threading.Lock()
-
-
-def _nbytes(blocks) -> int:
-    return sum(w.nbytes + V.nbytes for w, V in blocks)
-
-
-def _eig_factors(M: np.ndarray, g: GridSpec):
-    """The (evals, evecs) of the even and odd parity blocks of the generator
-    of an uncoupled M on g, from the cache or factorized once."""
-    # + 0.0 turns -0.0 into 0.0, so that both spellings of one M share an entry
-    key = ((M + 0.0).tobytes(), g)
-    with _eig_lock:
-        got = _eig_cache.get(key)
-        if got is not None:
-            _eig_cache.move_to_end(key)
-            return got
-        blocks = tuple(_factorize(b) for b in _parity_blocks(quantize_quadratic(M, g)))
-        _eig_cache[key] = blocks
-        held = sum(map(_nbytes, _eig_cache.values()))
-        while held > EIG_CACHE_BYTES and len(_eig_cache) > 1:
-            held -= _nbytes(_eig_cache.popitem(last=False)[1])
-        return blocks
-
-
 class Propagator:
-    """Unitary U_t = exp(-i t H_op / hbar) held as the eigenfactors of the
-    even and odd parity blocks of H_op(M'), and for a coupled M the chirp C
-    that makes it C^* U_t(M') C.
+    """Unitary U_t = exp(-i t H_op / hbar) of a 2 x 2 M on the grid g, held as
+    the eigenfactors of the even and odd parity blocks of H_op(M'), and for a
+    coupled M the chirp C that makes it C^* U_t(M') C.  It keeps M, g and t;
+    ``at(s)`` is U_s from the same factors, so one factorization serves every
+    time.
 
     An apply multiplies psi by C, folds it into its even and odd parts,
     applies each block's V diag(exp(-i t w / hbar)) V^H, two half-size
@@ -226,7 +193,9 @@ class Propagator:
     bitwise trivial.
     """
 
-    def __init__(self, blocks, t: float, chirp: np.ndarray | None = None):
+    def __init__(self, M: np.ndarray, g: GridSpec, blocks, chirp: np.ndarray | None, t: float):
+        self.M = M
+        self.grid = g
         self._blocks = blocks
         self._chirp = chirp
         self.t = float(t)
@@ -250,21 +219,26 @@ class Propagator:
             out *= chirp.conj()[:, None]
         return out
 
+    def at(self, t: float) -> "Propagator":
+        return Propagator(self.M, self.grid, self._blocks, self._chirp, t)
+
     def inverse(self) -> "Propagator":
-        return Propagator(self._blocks, -self.t, self._chirp)
+        return self.at(-self.t)
 
 
 def metaplectic_lift(M, t: float, g: GridSpec) -> Propagator:
     """Lift of the flow exp(t J M) through the identity at t = 0.
 
     It is exp(-i t H_op / hbar) for H_op = ``quantize_quadratic(M, g)``,
-    held as C^* U_t(M') C (module docstring).  The parity blocks'
-    eigendecompositions of the real generator of M' are computed once per
-    (M', grid) and reused across t, so sweeps over time are cheap.  An M
+    held as C^* U_t(M') C (module docstring).  Every call factorizes the
+    parity blocks of the real generator of M'; a caller that needs several
+    times lifts once and moves the result with ``Propagator.at``.  An M
     with m12 != 0 = m22 raises ``ValueError``.
     """
-    M, chirp = _uncoupled(M, g)
-    return Propagator(_eig_factors(M, g), t, chirp)
+    M = np.array(M, dtype=float)
+    Mp, chirp = _uncoupled(M, g)
+    blocks = tuple(_factorize(b) for b in _parity_blocks(quantize_quadratic(Mp, g)))
+    return Propagator(M, g, blocks, chirp, t)
 
 
 def _probe_block(g: GridSpec) -> np.ndarray:
@@ -284,15 +258,18 @@ def _translate_columns(z, psis: np.ndarray, g: GridSpec) -> np.ndarray:
     return np.ascontiguousarray(rows.T)
 
 
-def covariance_defect(M, t: float, z, g: GridSpec) -> float:
+def covariance_defect(U: Propagator, z) -> float:
     """Deviation of the discrete model from exact symplectic covariance.
 
     Returns max over a fixed seeded family of concentrated probe states of
-    ||U_t T(z) U_t^{-1} psi - T(S_t z) psi|| / ||psi||.  Small values certify
-    that conjugating a phase-space translation by the lift matches the
-    translated flow image on the grid in use.  U_t^{-1} and U_t act on the
-    probes as one block.  Probes and therefore results are deterministic.
+    ||U_t T(z) U_t^{-1} psi - T(S_t z) psi|| / ||psi|| for the lift
+    U = U_t of S_t = exp(t J M), on the grid, M and t that U keeps.  Small
+    values certify that conjugating a phase-space translation by the lift
+    matches the translated flow image on the grid in use.  U_t^{-1} and U_t
+    act on the probes as one block.  Probes and therefore results are
+    deterministic.
     """
+    g = U.grid
     zc = np.asarray(z, dtype=float)
     qlim = (g.N / 4) * g.dx
     plim = (g.N / 4) * g.dp
@@ -302,8 +279,7 @@ def covariance_defect(M, t: float, z, g: GridSpec) -> float:
             "defect may be resolution-limited",
             stacklevel=2,
         )
-    St = flow_matrix(QuadraticHamiltonian(M), t).S
-    U = metaplectic_lift(M, t, g)
+    St = flow_matrix(QuadraticHamiltonian(U.M), U.t).S
     probes = _probe_block(g)
     lhs = U.apply_columns(_translate_columns(zc, U.inverse().apply_columns(probes), g))
     rhs = _translate_columns(St @ zc, probes, g)

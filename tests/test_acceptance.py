@@ -183,6 +183,7 @@ def test_criterion_4_covariance_convergence():
     M = np.diag([16.0, 1.0])
     g512 = GridSpec.centered(N=512, L=16.0)
     g1024 = GridSpec.centered(N=1024, L=16.0)
+    U512, U1024 = metaplectic_lift(M, 0.0, g512), metaplectic_lift(M, 0.0, g1024)
     rng = np.random.default_rng(404)
     defects = []
     with warnings.catch_warnings():
@@ -190,9 +191,7 @@ def test_criterion_4_covariance_convergence():
         for _ in range(20):
             t = float(rng.uniform(0.15, 1.35))
             z = [float(rng.uniform(-1.0, 1.0)), float(rng.uniform(9.5, 12.0))]
-            defects.append(
-                (covariance_defect(M, t, z, g512), covariance_defect(M, t, z, g1024))
-            )
+            defects.append((covariance_defect(U512.at(t), z), covariance_defect(U1024.at(t), z)))
     fine_ok = all(d1024 <= 1e-3 for _, d1024 in defects)
     ratios = [d1024 / max(d512, 1e-300) for d512, d1024 in defects]
     converged = sum(r <= 0.5 for r in ratios)
@@ -314,9 +313,12 @@ def test_criterion_9_cli_determinism(tmp_path):
         outs = []
         for run in (1, 2):
             outdir = tmp_path / f"{cmd}{run}"
+            # flow runs one energy: the first of the config's two
+            one_energy = ["--override", "ellipsoid.E=0.5"] if cmd == "flow" else []
             proc = subprocess.run(
                 [sys.executable, "-m", "gaborflow.cli", cmd,
-                 "--config", str(cfg_path), "--out", str(outdir), "--no-timestamp"],
+                 "--config", str(cfg_path), "--out", str(outdir), "--no-timestamp",
+                 *one_energy],
                 capture_output=True,
                 text=True,
             )

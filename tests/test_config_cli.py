@@ -248,6 +248,45 @@ class TestCliCommands:
         body = {tuple(l.split(",")[1:]) for l in lines[1:]}
         assert body == {("3", "3", "0")}
 
+    def test_flow_rejects_several_energies(self, small_config, tmp_path, capsys):
+        def run(energies):
+            out = tmp_path / json.dumps(energies)
+            code = run_cli(["flow", "--config", str(small_config), "--out", str(out),
+                            "--no-timestamp", "--override", f"ellipsoid.E={json.dumps(energies)}"])
+            return code, out / "flow.csv"
+
+        code, csv = run([0.5, 2.0])
+        assert code == 2 and not csv.exists()
+        assert "config error" in capsys.readouterr().err
+        # one energy, listed or not, runs as before
+        (one, listed), (bare, plain) = run([0.5]), run(0.5)
+        assert one == bare == 0
+        assert listed.read_bytes() == plain.read_bytes()
+
+    def test_each_grid_is_factorized_once_per_command(self, small_config, tmp_path,
+                                                      monkeypatch):
+        from gaborflow import metaplectic
+
+        quantized = []
+
+        def counting(M, g):
+            quantized.append(g.N)
+            return quantize(M, g)
+
+        quantize = metaplectic.quantize_quadratic
+        monkeypatch.setattr(metaplectic, "quantize_quadratic", counting)
+        # two energies and three distinct t: one lift for the whole sweep
+        assert run_cli(["deform", "--config", str(small_config), "--out", str(tmp_path),
+                        "--no-timestamp", "--override", "ellipsoid.E=[0.5,2.0]",
+                        "--override", "deformation.t_values=[0.0,0.3,0.7,0.3,1.1]"]) == 0
+        assert quantized == [64]
+        quantized.clear()
+        # three cases at three t on grids 32 and 64: one lift per grid
+        assert run_cli(["covariance", "--config", str(small_config), "--out", str(tmp_path),
+                        "--no-timestamp", "--override",
+                        "covariance.cases=[[0.0,0.5,0.0],[0.4,0.5,0.5],[0.9,-0.5,0.2]]"]) == 0
+        assert quantized == [32, 64]
+
     def test_flow_interior_rotation(self, small_config, tmp_path):
         out = tmp_path / "out"
         code = run_cli(["flow", "--config", str(small_config), "--out", str(out),

@@ -1,5 +1,6 @@
 """Frozen types that hold arrays compare and hash by identity; the small value
-types keep value equality (``GridSpec`` is part of the eigen-cache key)."""
+types keep value equality (``config`` compares a window file's ``GridSpec``
+with the scenario's by value)."""
 
 import numpy as np
 import pytest

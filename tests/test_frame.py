@@ -28,7 +28,7 @@ from gaborflow.lattice import (
     max_safe_epsilon,
     separable_lattice,
 )
-from gaborflow import metaplectic, quantum
+from gaborflow import quantum
 from gaborflow.metaplectic import metaplectic_lift
 from gaborflow.quantum import GridSpec, State, gaussian_window, heisenberg, inner, norm
 from gaborflow.symplectic import QuadraticHamiltonian, flow_matrix, standard_J
@@ -523,13 +523,14 @@ class TestEllipsoidSweep:
                 assert rep.csv_row() == per_call_row(sysW, ell, t)
                 assert frame_bounds(out) == rep.bounds_after
 
-    def test_cold_lifts_run_before_the_factors(self):
-        # the fixed rows' factors (0.66 MB here) must not be held while the
-        # cold eigendecomposition of the lift runs: then the cold sweep's
-        # peak is the larger of the lift's own and the warm sweep's.  Peaks
-        # count from tracemalloc.start, so the warm one includes the cached
-        # eigenfactors that the cold sweep adds.
-        g = GridSpec.centered(N=256, L=16.0)
+    def test_cold_lifts_run_before_the_factors(self, monkeypatch):
+        # the fixed rows' factors (2.7 MB here) must not be held while the
+        # sweep's lift factorizes: then the sweep's peak is the larger of the
+        # lift's own and that of a sweep handed a finished lift.  Peaks count
+        # from tracemalloc.start, so the latter includes the lift it holds.
+        # At N = 1024 the lift's peak (12.8 MB) is the larger; factors built
+        # before the lift raised the sweep's to 1.17 times it
+        g = GridSpec.centered(N=1024, L=16.0)
         P = separable_lattice(ALPHA, ALPHA, Box.from_pairs([[-3, 3], [-3, 3]]))
         sysM = GaborSystem(gaussian_window(1j, g), P, g)
         ells = [Ellipsoid(ANISOTROPIC, 1.0)]
@@ -546,10 +547,10 @@ class TestEllipsoidSweep:
 
         tracemalloc.start()
         try:
-            metaplectic._eig_cache.clear()
             lift = peak(lambda: metaplectic_lift(ANISOTROPIC.M, 0.4, g))
-            metaplectic._eig_cache.clear()
             cold = peak(sweep)
+            U = metaplectic_lift(ANISOTROPIC.M, 0.0, g)
+            monkeypatch.setattr(frame, "metaplectic_lift", lambda M, t, g: U)
             warm = peak(sweep)
         finally:
             tracemalloc.stop()
@@ -803,6 +804,24 @@ def test_live_lower_bound_is_a_plane_quantity():
     # rows (E, t): (0.01, pi/8), (0.01, pi/4), (1.3, pi/8), (1.3, pi/4)
     assert A[1][3] == pytest.approx(2.7689232945935, rel=1e-9)
     assert A[1][3] <= 0.8 * A[1][1]
+
+
+def test_live_lower_bound_lies_above_deletion_and_below_the_window_band():
+    # the torus-covering Gaussian of the test above at (256, 16), E = 1.3 and
+    # t = pi/4.  Deleting the 35 enclosed points under the lifted window
+    # leaves A_del = 0.0075, far below A' = 2.769; S' has six eigenvalues
+    # below A_w = 3.7159, the E = 0.01 row's A, the lowest of them A'
+    g = GridSpec.centered(N=256, L=16.0)
+    P = torus_lattice(g, 0.5, 0.5)
+    H = QuadraticHamiltonian(np.diag([4.0, 0.25]))
+    ells = [Ellipsoid(H, E) for E in (0.01, 1.3)]
+    sysG = GaborSystem(gaussian_window(1j, g), P, g)
+    (_, window_only), (out, rep) = ellipsoid_sweep(sysG, ells, [math.pi / 4])
+    A_w = window_only.bounds_after.A
+    kept = PointSet(np.delete(P.points, enclosed_indices(P, ells[1]), axis=0), P.delta)
+    A_del = frame_bounds(GaborSystem(out.window, kept, g)).A
+    assert rep.bounds_after.A >= A_del
+    assert np.sum(np.linalg.eigvalsh(frame_operator(out)) < A_w) >= 1
 
 
 class TestTorusShears:

@@ -31,12 +31,9 @@ QUANTIZED_MATRICES = pytest.mark.parametrize(
 )
 
 
-COUPLED_MATRICES = pytest.mark.parametrize(
-    "M",
-    [np.array([[1.0, m12], [m12, m22]]) for m12, m22 in ((0.5, 2.0), (0.7, 2.0), (0.3, 2.0),
-                                                          (0.25, 1.5))],
-    ids=["m12=0.5", "m12=0.7", "m12=0.3", "m12=0.25"],
-)
+COUPLED = {f"m12={m12}": np.array([[1.0, m12], [m12, m22]])
+           for m12, m22 in ((0.5, 2.0), (0.7, 2.0), (0.3, 2.0), (0.25, 1.5))}
+COUPLED_MATRICES = pytest.mark.parametrize("M", list(COUPLED.values()), ids=list(COUPLED))
 
 
 def uncoupled_and_chirp(M, g):
@@ -231,7 +228,7 @@ class TestMetaplecticLift:
         for M in (np.array([[1.0, 0.3], [0.3, 2.0]]), np.diag([4.0, 1.0])):
             U = metaplectic_lift(M, t, g)
             Mp, chirp = uncoupled_and_chirp(M, g)
-            (we, Ve), (wo, Vo) = metaplectic._eig_factors(Mp, g)
+            (we, Ve), (wo, Vo) = metaplectic_lift(Mp, t, g)._blocks
             assert Ve.shape == (h + 1, h + 1) and Vo.shape == (h - 1, h - 1)
             assert np.isrealobj(Ve) and np.isrealobj(Vo)
             # the even and odd coordinates of C psi, evolved blockwise,
@@ -257,7 +254,7 @@ class TestMetaplecticLift:
             assert peak < g.N**2
 
     def test_cache_key_cannot_alias_shapes(self):
-        # the key is M's bytes alone, so the flat array shares a 2x2 M's key
+        # the flat array of a 2x2 M's bytes is rejected, not read as that M
         g = GridSpec.centered(N=32, L=8.0)
         M = np.array([[1.0, 0.3], [0.3, 2.0]])
         metaplectic_lift(M, 0.2, g)
@@ -268,24 +265,11 @@ class TestMetaplecticLift:
         with pytest.raises(ValueError, match="symmetric"):
             metaplectic_lift([[1.0, math.nan], [math.nan, 1.0]], 0.2, SMALL)
 
-    def test_nan_generator_is_not_cached(self, monkeypatch):
+    def test_nan_generator_raises(self):
         # the unitarity defect of NaN eigenfactors is NaN, which compares false
-        from collections import OrderedDict
-
-        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
         g = GridSpec.centered(N=32, L=8.0)
         with pytest.raises(np.linalg.LinAlgError, match="not unitary"):
             metaplectic_lift([[math.nan, 0.0], [0.0, 1.0]], 0.2, g)
-        assert len(metaplectic._eig_cache) == 0
-
-    def test_signed_zero_spellings_share_one_cache_entry(self, monkeypatch):
-        from collections import OrderedDict
-
-        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
-        g = GridSpec.centered(N=32, L=8.0)
-        metaplectic_lift([[1.0, 0.0], [0.0, 2.0]], 0.2, g)
-        metaplectic_lift([[1.0, -0.0], [-0.0, 2.0]], 0.2, g)
-        assert len(metaplectic._eig_cache) == 1
 
     def test_inverse_is_reverse_time(self):
         U = metaplectic_lift(np.eye(2), 0.6, SMALL)
@@ -298,6 +282,17 @@ class TestMetaplecticLift:
         phi = gaussian_window(1j, SMALL)
         back = U.inverse().apply(U.apply(phi))
         assert np.max(np.abs(back.values - phi.values)) <= 1e-10
+
+    @pytest.mark.parametrize("M", [np.diag([4.0, 1.0]), np.array([[1.0, 0.5], [0.5, 2.0]])],
+                             ids=["squeezed", "coupled"])
+    def test_at_moves_one_lift_in_time_bitwise(self, M):
+        U = metaplectic_lift(M, 0.3, SMALL)
+        phi = gaussian_window(1j, SMALL)
+        for s in (0.0, -0.8, 1.1):
+            V = U.at(s)
+            assert V.t == s and V.grid == SMALL and np.array_equal(V.M, M)
+            fresh = metaplectic_lift(M, s, SMALL)
+            assert np.array_equal(V.apply(phi).values, fresh.apply(phi).values)
 
     def test_concurrent_lifts_share_cache_safely(self):
         # the eigendecomposition cache is single-writer/multi-reader; hammer it
@@ -315,42 +310,6 @@ class TestMetaplecticLift:
             results = list(pool.map(work, range(16)))
         for r in results[1:]:
             assert np.array_equal(r, results[0])
-
-    def test_cache_evicts_least_recently_used_within_budget(self, monkeypatch):
-        from collections import OrderedDict
-
-        g = GridSpec.centered(N=32, L=8.0)
-        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
-        # the byte size of one cached entry; every M below has m12 = 0
-        metaplectic_lift(np.diag([5.0, 1.0]), 0.3, g)
-        (entry,) = metaplectic._eig_cache.values()
-        factor = sum(w.nbytes + V.nbytes for w, V in entry)
-        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
-        monkeypatch.setattr(metaplectic, "EIG_CACHE_BYTES", 2 * factor)
-        computed = []
-
-        def counting(M, grid):
-            computed.append(float(M[0, 0]))
-            return quantize_quadratic(M, grid)
-
-        monkeypatch.setattr(metaplectic, "quantize_quadratic", counting)
-        Ms = [np.diag([a, 1.0]) for a in (1.0, 2.0, 3.0)]
-        first = metaplectic_lift(Ms[0], 0.3, g).apply(gaussian_window(1j, g)).values
-        metaplectic_lift(Ms[1], 0.3, g)
-        # a hit is not recomputed and makes M0 the most recently used
-        again = metaplectic_lift(Ms[0], 0.3, g).apply(gaussian_window(1j, g)).values
-        assert computed == [1.0, 2.0]
-        assert np.array_equal(first, again)
-        # the third factor exceeds the budget: M1, least recently used, goes
-        metaplectic_lift(Ms[2], 0.3, g)
-        assert computed == [1.0, 2.0, 3.0]
-        assert len(metaplectic._eig_cache) == 2
-        metaplectic_lift(Ms[0], 0.3, g)
-        metaplectic_lift(Ms[2], 0.3, g)
-        assert computed == [1.0, 2.0, 3.0]
-        metaplectic_lift(Ms[1], 0.3, g)
-        assert computed == [1.0, 2.0, 3.0, 2.0]
-
 
     @pytest.mark.parametrize("M", [np.diag([4.0, 1.0]), np.array([[1.0, 0.5], [0.5, 2.0]])],
                              ids=["squeezed", "coupled"])
@@ -383,18 +342,14 @@ class TestMetaplecticLift:
         ref = V[:, :low] * np.exp(-1j * t * w[:low] / g.hbar)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
-    def test_coupled_entry_is_the_real_entry_of_its_uncoupled_M(self, monkeypatch):
-        from collections import OrderedDict
-
-        monkeypatch.setattr(metaplectic, "_eig_cache", OrderedDict())
+    def test_coupled_factors_are_the_real_factors_of_its_uncoupled_M(self):
         g = GridSpec.centered(N=64, L=8.0)
         M = np.array([[1.0, 0.3], [0.3, 2.0]])
         Mp, _ = uncoupled_and_chirp(M, g)
-        metaplectic_lift(M, 0.4, g)
-        metaplectic_lift(Mp, 0.4, g)
-        ((key, entry),) = metaplectic._eig_cache.items()
-        assert key == ((Mp + 0.0).tobytes(), g)
-        assert all(np.isrealobj(w) and np.isrealobj(V) for w, V in entry)
+        blocks = metaplectic_lift(M, 0.4, g)._blocks
+        for (w, V), (wp, Vp) in zip(blocks, metaplectic_lift(Mp, 0.4, g)._blocks):
+            assert np.isrealobj(w) and np.isrealobj(V)
+            assert np.array_equal(w, wp) and np.array_equal(V, Vp)
 
     @COUPLED_MATRICES
     def test_coupled_lift_commutes_with_grid_parity_bitwise(self, M):
@@ -415,6 +370,39 @@ class TestGaussianOracle:
             St = flow_matrix(QuadraticHamiltonian(M), t)
             ref = gaussian_window(gaussian_mobius(1j, St), DEFAULT)
             assert phase_aligned_distance(evolved, ref, DEFAULT) <= 1e-5
+
+
+def odd_window(Gamma, g):
+    """h_Gamma(x) = x exp(i Gamma x^2 / (2 hbar)) at unit norm, with its seam
+    sample (x = -L/2) set to 0 so that it is exactly odd on the grid."""
+    x = g.xs()
+    v = x * np.exp(1j * Gamma * x * x / (2.0 * g.hbar))
+    v[0] = 0.0
+    return State(v / math.sqrt(float(np.sum(np.abs(v) ** 2)) * g.dx))
+
+
+def phase_free_distance(a, b, g):
+    """||a - e^{i theta} b|| for the phase theta of <b, a>, computed from the
+    difference so that it resolves far below sqrt(eps)."""
+    ip = inner(b, a, g)
+    return float(np.linalg.norm(a.values - (ip / abs(ip)) * b.values)) * math.sqrt(g.dx)
+
+
+class TestOddWindowOracle:
+    """(P - Gamma X) annihilates the Gaussian g_Gamma, and U X U^* is a
+    combination of X and P, so the lift maps X g_Gamma to a multiple of
+    X g_Gamma' with the Gaussian's Moebius image Gamma' (Folland, ch. 4)."""
+
+    @pytest.mark.parametrize("M", [*COUPLED.values(), np.diag([4.0, 0.25])],
+                             ids=[*COUPLED, "diag(4,1/4)"])
+    def test_lift_maps_odd_window_to_its_mobius_image(self, M):
+        g = GridSpec.centered(N=512, L=16.0)
+        Gamma = 0.6 + 1.5j
+        U = metaplectic_lift(M, 0.0, g)
+        for t in (0.3, math.pi / 4, 1.3):
+            image = gaussian_mobius(Gamma, flow_matrix(QuadraticHamiltonian(M), t))
+            got = U.at(t).apply(odd_window(Gamma, g))
+            assert phase_free_distance(got, odd_window(image, g), g) <= 1e-11
 
 
 class TestGaussianMobius:
@@ -452,27 +440,31 @@ class TestGaussianMobius:
             gaussian_mobius(complex(-2.0, 1e-30), S)
 
 
+def defect(M, t, z, g):
+    return covariance_defect(metaplectic_lift(M, t, g), z)
+
+
 class TestCovarianceDefect:
     def test_zero_time(self):
-        assert covariance_defect(np.eye(2), 0.0, [1.0, 0.0], SMALL) <= 1e-12
+        assert defect(np.eye(2), 0.0, [1.0, 0.0], SMALL) <= 1e-12
 
     def test_rotation_on_default_grid(self):
-        d = covariance_defect(np.eye(2), math.pi / 2.0, [1.0, 0.0], DEFAULT)
+        d = defect(np.eye(2), math.pi / 2.0, [1.0, 0.0], DEFAULT)
         assert d <= 1e-3
 
     def test_squeezed_case_on_default_grid(self):
-        d = covariance_defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], DEFAULT)
+        d = defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], DEFAULT)
         assert d <= 1e-3
 
     def test_coupled_case_on_default_grid(self):
-        d = covariance_defect(np.array([[1.0, 0.5], [0.5, 2.0]]), 0.7, [0.5, 0.5], DEFAULT)
+        d = defect(np.array([[1.0, 0.5], [0.5, 2.0]]), 0.7, [0.5, 0.5], DEFAULT)
         assert d <= 1e-3
 
     @pytest.mark.filterwarnings("ignore:.*wrap")
     def test_outside_reliable_box_warns(self):
         # the huge displacement also wraps spatially, which warns separately
         with pytest.warns(UserWarning, match="reliable box"):
-            covariance_defect(np.eye(2), 0.1, [0.0, 100.0], SMALL)
+            defect(np.eye(2), 0.1, [0.0, 100.0], SMALL)
 
     @pytest.mark.parametrize("z", [[0.3, -1.7], [-2.45, 0.6]])
     def test_batched_translation_equals_heisenberg_bitwise(self, z):
@@ -486,6 +478,6 @@ class TestCovarianceDefect:
                 assert np.array_equal(got[:, k], heisenberg(z, State(block[:, k]), g).values)
 
     def test_deterministic(self):
-        a = covariance_defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], SMALL)
-        b = covariance_defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], SMALL)
+        a = defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], SMALL)
+        b = defect(np.diag([4.0, 1.0]), 0.7, [0.5, 0.5], SMALL)
         assert a == b

@@ -117,8 +117,8 @@ def test_every_deformed_solve_runs_through_the_traced_names():
         assert [names[j] for j in beneath] == ["frame.analysis_matrix"]
     # the enclosed points move through the traced name once per row
     assert names.count("lattice.deform_point_set") == len(rows) == 8
-    # one lift and one apply per distinct (M, t): both ellipsoids share M
-    assert names.count("metaplectic.metaplectic_lift") == 3
+    # one lift per sweep, both ellipsoids sharing M, and one apply per distinct t
+    assert names.count("metaplectic.metaplectic_lift") == 1
     assert names.count("metaplectic.Propagator.apply") == 3
 
 
